@@ -88,11 +88,17 @@ def _cmd_precompute(args) -> int:
 
 
 def _load_or_build_cache(args, g):
-    cpath = Path(args.cache) if args.cache else default_cache_path(Path(args.data))
-    if cpath.is_file():
-        return read_cache(cpath, expect_fingerprint=g.fingerprint,
-                          expect_l1=args.l1, expect_l2=args.l2)
-    return build_cache(g, args.l1, args.l2)
+    """Read --cache, or the default cache path; only the default may be absent."""
+    if args.cache:
+        cpath = Path(args.cache)
+        if not cpath.is_file():
+            raise ValueError(f"cache file {cpath} not found")
+    else:
+        cpath = default_cache_path(Path(args.data))
+        if not cpath.is_file():
+            return build_cache(g, args.l1, args.l2)
+    return read_cache(cpath, expect_fingerprint=g.fingerprint,
+                      expect_l1=args.l1, expect_l2=args.l2)
 
 
 def _cmd_train(args) -> int:
@@ -153,8 +159,9 @@ def _cmd_synth(args) -> int:
         save_dataset(result.graph, out)
         msg = "converged" if result.converged else \
             "WARNING: iteration budget exhausted before reaching the target"
-        print(f"rewired to h={result.achieved:.4f} "
-              f"(target {result.target}, {result.accepted} accepted moves); {msg}")
+        print(f"rewired to h={result.achieved:.4f} (target {result.target}, "
+              f"{result.proposals} proposals, {result.accepted} accepted "
+              f"moves, {result.iterations} iterations); {msg}")
     else:
         g = generate_toy(ToySpec(
             n_target=args.n_target, n_aux=args.n_aux, num_types=args.num_types,

@@ -2,13 +2,20 @@
 
 Everything here recomputes results with plain loops over dense copies,
 deliberately avoiding the library's sparse kernels, so agreement is
-evidence rather than tautology.
+evidence rather than tautology.  The one exception is
+oracle_rewire_to_homophily: the rewirer's full-recompute loop, which
+scores every proposal with graph_homophily (itself checked against the
+walk-count oracles here) instead of the incremental evaluator.
 """
+
+from collections import Counter
 
 import numpy as np
 
 from ahgnn.graph import HeteroGraph
+from ahgnn.metapath import graph_homophily
 from ahgnn.sparse import SparseMatrix
+from ahgnn.synth import RewireResult, _relation_from_pairs, _with_relation
 
 
 def oracle_walk_counts(graph: HeteroGraph, types) -> np.ndarray:
@@ -128,3 +135,84 @@ def random_typed_graph(seed: int, max_nodes: int = 30) -> HeteroGraph:
                 for t in names}
     return HeteroGraph.create(names, counts, features, relations, "A",
                               labels, num_classes, splits)
+
+
+def oracle_rewire_to_homophily(graph: HeteroGraph, spec) -> RewireResult:
+    """The rewirer with a full graph_homophily(realize()) per proposal.
+
+    Same RNG stream and edge bookkeeping as ahgnn.synth.rewire_to_homophily,
+    but every proposal rebuilds the graph and its walk products from
+    scratch, so it is the reference the incremental evaluator must match.
+    """
+    if not 0.0 <= spec.target_h <= 1.0:
+        raise ValueError("target homophily must lie in [0, 1]")
+    t = graph.target_type
+    rewirable = sorted(b for (a, b) in graph.relations if a == t and b != t)
+    if not rewirable:
+        raise ValueError("no cross-type relation touches the target type")
+    rng = np.random.default_rng(spec.seed)
+
+    edges: dict[str, Counter] = {}
+    for b in rewirable:
+        r, c = graph.relations[(t, b)].coords()
+        cnt: Counter = Counter()
+        for i, j, v in zip(r, c, graph.relations[(t, b)].values):
+            if v != int(v) or v <= 0:
+                raise ValueError(f"relation ({t!r}, {b!r}) must hold integer "
+                                 "multiplicities to be rewired")
+            cnt[(int(i), int(j))] += int(v)
+        edges[b] = cnt
+
+    def realize() -> HeteroGraph:
+        g = graph
+        for b in rewirable:
+            g = _with_relation(g, (t, b),
+                               _relation_from_pairs(graph.n(t), graph.n(b),
+                                                    edges[b]))
+        return g
+
+    current = realize()
+    h = graph_homophily(current, spec.depth)
+    gap = abs(h - spec.target_h)
+    trajectory = [h]
+    accepted = 0
+    proposals = 0
+    it = 0
+    for it in range(1, spec.max_iterations + 1):
+        if gap <= spec.tolerance:
+            break
+        b = rewirable[rng.integers(0, len(rewirable))]
+        cnt = edges[b]
+        if not cnt:
+            continue
+        instances = list(cnt.keys())
+        old = instances[rng.integers(0, len(instances))]
+        side = int(rng.integers(0, 2))
+        if side == 0:
+            new = (int(rng.integers(0, graph.n(t))), old[1])
+        else:
+            new = (old[0], int(rng.integers(0, graph.n(b))))
+        if new == old or cnt[new] > 0:
+            continue
+        cnt[old] -= 1
+        if cnt[old] == 0:
+            del cnt[old]
+        cnt[new] += 1
+        proposals += 1
+        try:
+            h_new = graph_homophily(realize(), spec.depth)
+        except ValueError:
+            h_new = None  # proposal emptied every qualifying path
+        if h_new is not None and abs(h_new - spec.target_h) < gap:
+            h, gap = h_new, abs(h_new - spec.target_h)
+            trajectory.append(h)
+            accepted += 1
+        else:
+            cnt[new] -= 1
+            if cnt[new] == 0:
+                del cnt[new]
+            cnt[old] += 1
+    return RewireResult(graph=realize(), achieved=h, target=spec.target_h,
+                        iterations=it, accepted=accepted,
+                        converged=gap <= spec.tolerance, proposals=proposals,
+                        trajectory=trajectory)

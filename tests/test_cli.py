@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -129,12 +130,41 @@ def test_train_rejects_stale_cache_depth(toy_dir, tmp_path, capsys):
     assert "error:" in captured.err
 
 
+def test_train_with_missing_explicit_cache_fails(toy_dir, tmp_path, capsys):
+    missing = tmp_path / "absent.ahgc"
+    code = dispatch(["train", "--data", str(toy_dir), "--cache", str(missing),
+                     "--out", str(tmp_path / "run4"), "--epochs", "1",
+                     "--hidden", "8", "--heads", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert str(missing) in captured.err
+    assert not (tmp_path / "run4" / "model.ahgm").exists()
+
+
+def test_eval_with_missing_explicit_cache_fails(toy_dir, tmp_path, capsys,
+                                                monkeypatch):
+    monkeypatch.delenv("AHGNN_CACHE_DIR", raising=False)
+    out = tmp_path / "run5"
+    run_ok(["train", "--data", str(toy_dir), "--out", str(out),
+            "--epochs", "1", "--hidden", "8", "--heads", "2"], capsys)
+    missing = tmp_path / "absent.ahgc"
+    code = dispatch(["eval", "--data", str(toy_dir), "--checkpoint",
+                     str(out / "model.ahgm"), "--cache", str(missing),
+                     "--out", str(tmp_path / "eval5")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert str(missing) in captured.err
+    assert not (tmp_path / "eval5" / "eval.json").exists()
+
+
 def test_synth_rewire_mode(toy_dir, tmp_path, capsys):
     out = tmp_path / "rewired"
     text = run_ok(["synth", "--data", str(toy_dir), "--out", str(out),
                    "--homophily", "0.8", "--tolerance", "0.1",
                    "--seed", "1"], capsys)
     assert "rewired to h=" in text
+    assert re.search(r"\d+ proposals, \d+ accepted moves, \d+ iterations\)",
+                     text), text
     g = load_dataset(out)
     base = load_dataset(toy_dir)
     np.testing.assert_array_equal(g.labels, base.labels)

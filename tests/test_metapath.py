@@ -221,3 +221,30 @@ def test_report_and_csv(tmp_path):
     assert lines[0] == "metapath,global_h,n_edges,bin0,bin1,bin2,bin3,bin4"
     assert lines[1].startswith("A-B-A,0.5,4,")
     assert lines[-1].startswith("graph_level,")
+
+
+def test_report_graph_level_is_graph_homophily_bit_for_bit():
+    for g in [load_dataset(TOY)] + [random_typed_graph(s) for s in range(40)]:
+        for depth in (2, 3, 4):
+            try:
+                want = graph_homophily(g, depth)
+            except ValueError as e:
+                with pytest.raises(ValueError) as got:
+                    build_homophily_report(g, depth)
+                assert str(got.value) == str(e)
+                continue
+            assert build_homophily_report(g, depth).graph_level == want
+
+
+def test_report_keeps_graph_homophily_errors():
+    g = load_dataset(TOY)
+    with pytest.raises(ValueError, match="at least two steps"):
+        build_homophily_report(g, 1)
+    no_path = HeteroGraph.create(
+        ("A", "B"), {"A": 2, "B": 2},
+        {"A": np.zeros((2, 1)), "B": np.zeros((2, 1))},
+        {}, "A", [0, 1], 2, [0, 0])
+    with pytest.raises(ValueError, match="no target-to-target meta-path"):
+        build_homophily_report(no_path, 4)
+    with pytest.raises(ValueError, match="qualifying edge"):
+        build_homophily_report(two_type_graph([]), 4)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from oracles import graphs_identical
+import ahgnn.synth as synth
+from oracles import (graphs_identical, oracle_rewire_to_homophily,
+                     random_typed_graph)
 from ahgnn.graph import HeteroGraph
 from ahgnn.metapath import graph_homophily
 from ahgnn.sparse import SparseMatrix
@@ -140,3 +142,68 @@ def test_rewire_needs_a_cross_type_relation():
         "A", np.array([0, 1, 0, 1]), 2, np.array([0, 0, 1, 2]))
     with pytest.raises(ValueError, match="cross-type"):
         rewire_to_homophily(g, RewireSpec(target_h=0.5))
+
+
+def assert_same_run(graph, spec):
+    """The rewirer and the full-recompute oracle agree bit for bit.
+
+    Where the oracle raises ValueError, the rewirer raises the same message.
+    """
+    try:
+        slow = oracle_rewire_to_homophily(graph, spec)
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            rewire_to_homophily(graph, spec)
+        assert str(got.value) == str(e)
+        return None
+    fast = rewire_to_homophily(graph, spec)
+    assert fast.trajectory == slow.trajectory
+    assert (fast.iterations, fast.accepted, fast.proposals, fast.converged) \
+        == (slow.iterations, slow.accepted, slow.proposals, slow.converged)
+    assert fast.achieved == slow.achieved
+    assert fast.achieved == graph_homophily(fast.graph, spec.depth)
+    assert graphs_identical(fast.graph, slow.graph)
+    return fast
+
+
+def test_rewire_matches_full_recompute_on_gate_targets():
+    base = generate_toy(ToySpec(n_target=60, n_aux=30, num_classes=5,
+                                homophily=0.7, seed=3))
+    for k in range(1, 9):
+        spec = RewireSpec(target_h=round(0.1 * k, 1), seed=1, tolerance=0.02,
+                          max_iterations=60000)
+        assert_same_run(base, spec)
+
+
+def test_rewire_matches_full_recompute_on_random_graphs():
+    # aux-to-aux and self relations, -1 labels, multiplicities above 1
+    outcomes = [assert_same_run(random_typed_graph(seed),
+                                RewireSpec(target_h=target, seed=seed,
+                                           max_iterations=300))
+                for seed in range(60) for target in (0.0, 0.5, 1.0)]
+    ran = [r for r in outcomes if r is not None]
+    assert len(ran) >= 100 and sum(r.accepted > 0 for r in ran) >= 50
+
+
+@pytest.mark.parametrize("depth", [2, 3, 4])
+def test_rewire_matches_full_recompute_on_three_type_toy(depth):
+    g = generate_toy(small_spec(num_types=3, homophily=1.0))
+    res = assert_same_run(g, RewireSpec(target_h=0.4, seed=2, tolerance=0.02,
+                                        depth=depth))
+    assert res is not None and res.converged and res.accepted > 0
+
+
+def test_rewire_measures_the_full_graph_only_once(monkeypatch):
+    g = generate_toy(small_spec(homophily=1.0))
+    calls = []
+
+    def counted(graph, max_len=4):
+        calls.append(max_len)
+        return graph_homophily(graph, max_len)
+
+    monkeypatch.setattr(synth, "graph_homophily", counted)
+    res = rewire_to_homophily(g, RewireSpec(target_h=0.5, seed=1,
+                                            tolerance=0.04))
+    assert res.proposals > res.accepted > 0
+    assert res.iterations >= res.proposals
+    assert calls == [4]
