@@ -165,8 +165,23 @@ def add_const(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product over the last two axes, broadcasting leading axes.
+
+    An N-D `a` times a 2-D `b` runs as one 2-D GEMM over the flattened
+    rows of `a`, in the forward pass and in both VJPs, so the weight
+    gradient is a single product instead of one per leading index.
+    """
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ValueError("matmul operands must be at least 2-D")
+    if b.data.ndim == 2 and a.data.ndim > 2:
+        a2 = a.data.reshape(-1, a.data.shape[-1])
+        out_shape = a.data.shape[:-1] + b.data.shape[-1:]
+
+        def vjp_rows(g):
+            g2 = g.reshape(-1, g.shape[-1])
+            return (g2 @ b.data.T).reshape(a.data.shape), a2.T @ g2
+
+        return _emit((a2 @ b.data).reshape(out_shape), (a, b), vjp_rows)
 
     def vjp(g):
         ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
@@ -180,6 +195,17 @@ def transpose(a: Tensor) -> Tensor:
     """Swap the last two axes."""
     return _emit(np.swapaxes(a.data, -1, -2), (a,),
                  lambda g: (np.swapaxes(g, -1, -2),))
+
+
+def permute(a: Tensor, axes: tuple) -> Tensor:
+    """Reorder the axes, as numpy.transpose(a, axes).
+
+    Output and gradient are contiguous copies: batched matmul over a
+    strided view runs several times slower.
+    """
+    inverse = tuple(np.argsort(axes))
+    return _emit(np.ascontiguousarray(np.transpose(a.data, axes)), (a,),
+                 lambda g: (np.ascontiguousarray(np.transpose(g, inverse)),))
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
@@ -320,6 +346,35 @@ def kl_mean(p: Tensor, q: Tensor, eps: float = 1e-8) -> Tensor:
         return (gp.astype(p.data.dtype), gq.astype(q.data.dtype))
 
     return _emit(np.asarray(out, dtype=p.data.dtype), (p, q), vjp)
+
+
+def head_pair_kl(p: Tensor, eps: float = 1e-8) -> Tensor:
+    """Mean symmetric KL over all unordered pairs of heads (axis 1).
+
+    For p of shape (N, H, ..., S) with rows on the last axis this equals
+    the mean over pairs i < j of (kl_mean(p_i, p_j) + kl_mean(p_j, p_i)) / 2,
+    with the same eps floor and the same gradient masks, but in O(H)
+    work through the identity
+    sum_{i<j} KL(p_i||p_j) + KL(p_j||p_i)
+        = H * sum_i p_i log p_i - (sum_i p_i)(sum_j log p_j)
+    taken entrywise.  Needs at least two heads.
+    """
+    h = p.data.shape[1] if p.data.ndim > 2 else 0
+    if h < 2:
+        raise ValueError("head_pair_kl needs an (N, H, ..., S) tensor with H >= 2")
+    pc = np.maximum(p.data, eps)
+    log_pc = np.log(pc)
+    sum_p = pc.sum(axis=1, keepdims=True)
+    sum_log = log_pc.sum(axis=1, keepdims=True)
+    rows = p.data.size // (h * p.data.shape[-1])
+    c = 1.0 / (h * (h - 1) * rows)  # 1/2 of the pair sum, over pairs and rows
+    out = c * (h * (pc * log_pc).sum() - (sum_p * sum_log).sum())
+
+    def vjp(g):
+        grad = (h * (log_pc + 1.0) - sum_log - sum_p / pc) * (g * c)
+        return (np.where(p.data > eps, grad, 0.0).astype(p.data.dtype),)
+
+    return _emit(np.asarray(out, dtype=p.data.dtype), (p,), vjp)
 
 
 @dataclass

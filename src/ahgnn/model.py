@@ -8,7 +8,11 @@ those projection layers.  The per-path embeddings become a token
 sequence fused in two rounds of multi-head attention: a coarse round
 whose averaged attention mass yields per-token influence factors, and a
 fine round over influence-scaled tokens; a sigmoid-gated sum of the two,
-mean-pooled and row-normalized, feeds a linear classifier.
+mean-pooled and row-normalized, feeds a linear classifier.  Each round
+runs all heads as one batched product, and its attention maps are one
+(N, H, S, S) tensor: nodes, heads, query tokens, key tokens.  No node
+sees another, so a forward pass over a subset of rows gives exactly
+those rows of the full pass.
 """
 
 from __future__ import annotations
@@ -209,40 +213,40 @@ def assemble_tokens(embs: list[Tensor]) -> Tensor:
 
 
 def multi_head_attention(tokens: Tensor, attn: AttentionParams,
-                         heads: int) -> tuple[Tensor, list[Tensor]]:
+                         heads: int) -> tuple[Tensor, Tensor]:
     """Scaled dot-product attention over the token axis.
 
-    Returns the output tensor (N, S, d) and the per-head attention maps
-    (N, S, S).  No residual connection, no layer normalization.
+    All heads run as one batched product over (N, H, S, d_h) slices of
+    the projections.  Returns the output tensor (N, S, d) and the
+    attention maps of every head as one (N, H, S, S) tensor.  No
+    residual connection, no layer normalization.
     """
-    d = tokens.shape[-1]
+    n, s, d = tokens.shape
     if d % heads != 0:
         raise ValueError("token width must be divisible by the head count")
     dh = d // heads
-    q = ad.matmul(tokens, attn.wq)
-    k = ad.matmul(tokens, attn.wk)
-    v = ad.matmul(tokens, attn.wv)
-    outs, atts = [], []
-    for h in range(heads):
-        lo, hi = h * dh, (h + 1) * dh
-        scores = ad.scale(
-            ad.matmul(ad.slice_last(q, lo, hi), ad.transpose(ad.slice_last(k, lo, hi))),
-            1.0 / np.sqrt(dh))
-        if not np.all(np.isfinite(scores.data)):
-            raise FloatingPointError("non-finite attention logits")
-        att = ad.row_softmax(scores)
-        atts.append(att)
-        outs.append(ad.matmul(att, ad.slice_last(v, lo, hi)))
-    return ad.matmul(ad.concat(outs, axis=-1), attn.wo), atts
+
+    def split(x: Tensor, axes: tuple) -> Tensor:
+        return ad.permute(ad.reshape(x, (n, s, heads, dh)), axes)
+
+    q = split(ad.matmul(tokens, attn.wq), (0, 2, 1, 3))   # (N, H, S, dh)
+    kt = split(ad.matmul(tokens, attn.wk), (0, 2, 3, 1))  # (N, H, dh, S)
+    v = split(ad.matmul(tokens, attn.wv), (0, 2, 1, 3))
+    scores = ad.scale(ad.matmul(q, kt), 1.0 / np.sqrt(dh))
+    if not np.all(np.isfinite(scores.data)):
+        raise FloatingPointError("non-finite attention logits")
+    att = ad.row_softmax(scores)
+    merged = ad.reshape(ad.permute(ad.matmul(att, v), (0, 2, 1, 3)), (n, s, d))
+    return ad.matmul(merged, attn.wo), att
 
 
-def influence_factors(atts: list[Tensor]) -> Tensor:
-    """Mean attention mass received by each token, (N, S), rows sum to 1."""
-    acc = None
-    for att in atts:
-        m = ad.mean_axis(att, axis=1)  # average over query positions
-        acc = m if acc is None else ad.add(acc, m)
-    return ad.scale(acc, 1.0 / len(atts))
+def influence_factors(att: Tensor) -> Tensor:
+    """Mean attention mass received by each token, (N, S), rows sum to 1.
+
+    `att` holds the (N, H, S, S) maps; the mass is averaged over query
+    positions and then over heads.
+    """
+    return ad.mean_axis(ad.mean_axis(att, axis=2), axis=1)
 
 
 @dataclass
@@ -250,19 +254,19 @@ class ModelOutput:
     logits: Tensor
     token_keys: list[str]
     beta: Tensor
-    coarse_attention: list[Tensor]
-    fine_attention: list[Tensor]
+    coarse_attention: Tensor  # (N, H, S, S)
+    fine_attention: Tensor    # (N, H, S, S)
 
 
 def model_forward(cache: MessageCache, params: ModelParams) -> ModelOutput:
     """Full forward pass over every target node in the cache."""
     keys, embs = path_embeddings(cache, params)
     tokens = assemble_tokens(embs)
-    coarse_out, coarse_atts = multi_head_attention(tokens, params.coarse,
-                                                   params.heads)
-    beta = influence_factors(coarse_atts)
+    coarse_out, coarse_att = multi_head_attention(tokens, params.coarse,
+                                                  params.heads)
+    beta = influence_factors(coarse_att)
     scaled = ad.mul(tokens, ad.unsqueeze(beta, 2))
-    fine_out, fine_atts = multi_head_attention(scaled, params.fine, params.heads)
+    fine_out, fine_att = multi_head_attention(scaled, params.fine, params.heads)
     a = ad.sigmoid(params.gate)
     fused = ad.add(ad.mul(coarse_out, a),
                    ad.mul(fine_out, ad.add_const(ad.scale(a, -1.0), 1.0)))
@@ -270,7 +274,7 @@ def model_forward(cache: MessageCache, params: ModelParams) -> ModelOutput:
     normed = ad.l2_normalize_rows(pooled)
     logits = ad.add(ad.matmul(normed, params.classifier.w), params.classifier.b)
     return ModelOutput(logits=logits, token_keys=keys, beta=beta,
-                       coarse_attention=coarse_atts, fine_attention=fine_atts)
+                       coarse_attention=coarse_att, fine_attention=fine_att)
 
 
 def predict_logits(cache: MessageCache, params: ModelParams,

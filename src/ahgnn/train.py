@@ -4,7 +4,8 @@ The objective is cross entropy on the train split plus two regularizers
 that PUSH attention heads apart: for each attention level, minus the
 mean symmetric KL divergence over unordered head pairs (so minimizing
 the loss maximizes disagreement between heads).  Validation micro-F1
-drives early stopping and best-parameter selection.
+drives early stopping and best-parameter selection; the per-epoch
+metrics forward runs on the train and validation rows alone.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -119,20 +119,15 @@ class Adam:
         return True
 
 
-def head_diversity(atts: list[Tensor]) -> Tensor:
+def head_diversity(att: Tensor) -> Tensor:
     """Minus the mean symmetric KL between attention head pairs.
 
-    Zero (constant) when there is a single head.
+    `att` holds one level's (N, H, S, S) maps.  Zero (constant) when
+    there is a single head.
     """
-    if len(atts) < 2:
-        return ad.constant(np.zeros((), dtype=atts[0].data.dtype))
-    pairs = list(combinations(range(len(atts)), 2))
-    acc = None
-    for i, j in pairs:
-        sym = ad.scale(ad.add(ad.kl_mean(atts[i], atts[j]),
-                              ad.kl_mean(atts[j], atts[i])), 0.5)
-        acc = sym if acc is None else ad.add(acc, sym)
-    return ad.scale(acc, -1.0 / len(pairs))
+    if att.shape[1] < 2:
+        return ad.constant(np.zeros((), dtype=att.data.dtype))
+    return ad.scale(ad.head_pair_kl(att), -1.0)
 
 
 def training_loss(output: ModelOutput, labels: np.ndarray,
@@ -238,6 +233,13 @@ def train(graph: HeteroGraph, cache: MessageCache,
     if not np.any(val_mask):
         raise ValueError("validation split holds no labeled node")
 
+    # The model is row-independent, so per-epoch metrics need only the
+    # rows they read: train and validation.
+    scored = np.flatnonzero(train_mask | val_mask)
+    scored_cache = work.take_rows(scored)
+    scored_labels = labels[scored]
+    scored_train, scored_val = train_mask[scored], val_mask[scored]
+
     history: list[EpochRow] = []
     rejected: list[int] = []
     best = _snapshot(params)
@@ -260,9 +262,9 @@ def train(graph: HeteroGraph, cache: MessageCache,
         tape.backward(loss)
         if not opt.step(named):
             rejected.append(epoch)
-        logits = model_forward(work, params).logits.data
-        m = evaluate(logits, labels, val_mask)
-        m_train = evaluate(logits, labels, train_mask)
+        logits = model_forward(scored_cache, params).logits.data
+        m = evaluate(logits, scored_labels, scored_val)
+        m_train = evaluate(logits, scored_labels, scored_train)
         history.append(EpochRow(epoch=epoch, loss=loss_val,
                                 train_micro=m_train.micro_f1,
                                 val_macro=m.macro_f1, val_micro=m.micro_f1))

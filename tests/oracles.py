@@ -2,20 +2,27 @@
 
 Everything here recomputes results with plain loops over dense copies,
 deliberately avoiding the library's sparse kernels, so agreement is
-evidence rather than tautology.  The one exception is
-oracle_rewire_to_homophily: the rewirer's full-recompute loop, which
-scores every proposal with graph_homophily (itself checked against the
-walk-count oracles here) instead of the incremental evaluator.
+evidence rather than tautology.  The exceptions are slow paths that the
+library replaced: oracle_rewire_to_homophily, the rewirer's
+full-recompute loop, which scores every proposal with graph_homophily
+(itself checked against the walk-count oracles here) instead of the
+incremental evaluator; the per-head attention loop and the pairwise
+head-diversity loop; and the training loop that scores every epoch on a
+forward pass over all rows.
 """
 
 from collections import Counter
+from itertools import combinations
 
 import numpy as np
 
+import ahgnn.autodiff as ad
 from ahgnn.graph import HeteroGraph
 from ahgnn.metapath import graph_homophily
+from ahgnn.model import init_model_params, model_forward
 from ahgnn.sparse import SparseMatrix
 from ahgnn.synth import RewireResult, _relation_from_pairs, _with_relation
+from ahgnn.train import Adam, EpochRow, evaluate, training_loss
 
 
 def oracle_walk_counts(graph: HeteroGraph, types) -> np.ndarray:
@@ -216,3 +223,86 @@ def oracle_rewire_to_homophily(graph: HeteroGraph, spec) -> RewireResult:
                         iterations=it, accepted=accepted,
                         converged=gap <= spec.tolerance, proposals=proposals,
                         trajectory=trajectory)
+
+
+def oracle_multi_head_attention(tokens, attn, heads: int):
+    """Attention one head at a time, slicing the projections per head.
+
+    Returns the output (N, S, d) and the list of per-head (N, S, S) maps.
+    """
+    d = tokens.shape[-1]
+    dh = d // heads
+    q = ad.matmul(tokens, attn.wq)
+    k = ad.matmul(tokens, attn.wk)
+    v = ad.matmul(tokens, attn.wv)
+    outs, atts = [], []
+    for h in range(heads):
+        lo, hi = h * dh, (h + 1) * dh
+        scores = ad.scale(
+            ad.matmul(ad.slice_last(q, lo, hi),
+                      ad.transpose(ad.slice_last(k, lo, hi))),
+            1.0 / np.sqrt(dh))
+        att = ad.row_softmax(scores)
+        atts.append(att)
+        outs.append(ad.matmul(att, ad.slice_last(v, lo, hi)))
+    return ad.matmul(ad.concat(outs, axis=-1), attn.wo), atts
+
+
+def oracle_head_diversity(atts):
+    """Minus the mean over head pairs of (kl_mean(i, j) + kl_mean(j, i)) / 2."""
+    if len(atts) < 2:
+        return ad.constant(np.zeros((), dtype=atts[0].data.dtype))
+    pairs = list(combinations(range(len(atts)), 2))
+    acc = None
+    for i, j in pairs:
+        sym = ad.scale(ad.add(ad.kl_mean(atts[i], atts[j]),
+                              ad.kl_mean(atts[j], atts[i])), 0.5)
+        acc = sym if acc is None else ad.add(acc, sym)
+    return ad.scale(acc, -1.0 / len(pairs))
+
+
+def oracle_train_history(graph: HeteroGraph, cache, config) -> list[EpochRow]:
+    """ahgnn.train.train's epoch loop, scoring each epoch on all rows.
+
+    Same initialisation, objective, optimiser and early stopping; the
+    per-epoch metrics come from a forward pass over every target node.
+    """
+    dtype = config.dtype
+    work = cache.astype(dtype)
+    params = init_model_params(work, config.hidden, config.heads, config.alpha,
+                               np.random.default_rng(config.seed), dtype=dtype,
+                               fix_gamma=config.fix_gamma_uniform)
+    named = params.all_parameters()
+    opt = Adam(lr=config.lr, weight_decay=config.weight_decay)
+    labels = graph.labels
+    train_mask = graph.train_mask & (labels >= 0)
+    val_mask = graph.val_mask & (labels >= 0)
+    history = []
+    best_val = -1.0
+    bad_epochs = 0
+    for epoch in range(1, config.max_epochs + 1):
+        for t in named.values():
+            t.grad = None
+        with ad.Tape() as tape:
+            out = model_forward(work, params)
+            loss, _ = training_loss(out, labels, train_mask,
+                                    config.lambda1, config.lambda2)
+        loss_val = float(loss.data)
+        if not np.isfinite(loss_val):
+            break
+        tape.backward(loss)
+        opt.step(named)
+        logits = model_forward(work, params).logits.data
+        m = evaluate(logits, labels, val_mask)
+        m_train = evaluate(logits, labels, train_mask)
+        history.append(EpochRow(epoch=epoch, loss=loss_val,
+                                train_micro=m_train.micro_f1,
+                                val_macro=m.macro_f1, val_micro=m.micro_f1))
+        if m.micro_f1 > best_val:
+            best_val = m.micro_f1
+            bad_epochs = 0
+        else:
+            bad_epochs += 1
+            if bad_epochs > config.patience:
+                break
+    return history

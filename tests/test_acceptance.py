@@ -240,7 +240,7 @@ def test_autodiff_primitives_and_model_loss_match_finite_differences():
 def test_fusion_attention_rows_betas_and_invariances():
     _, cache, params = _toy_setup(dtype=np.float32)
     out = model_forward(cache, params)
-    for att in out.coarse_attention + out.fine_attention:
+    for att in (out.coarse_attention, out.fine_attention):
         rows = att.data.sum(axis=-1)
         assert np.all(np.abs(rows - 1.0) <= 1e-6)
     beta_sums = out.beta.data.sum(axis=1)

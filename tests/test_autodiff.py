@@ -5,6 +5,10 @@ import pytest
 
 import ahgnn.autodiff as ad
 from ahgnn.autodiff import Tape, Tensor, grad_check
+from ahgnn.model import AttentionParams, multi_head_attention
+from ahgnn.train import head_diversity
+
+from oracles import oracle_head_diversity, oracle_multi_head_attention
 
 
 def t(arr, **kw):
@@ -92,6 +96,112 @@ def test_index1d_and_slice_concat():
     check(lambda b, c: weighted(ad.concat([b, c], axis=1), w), [b, c])
     with pytest.raises(ValueError, match="1-D"):
         ad.index1d(a, 0)
+
+
+def test_permute_values_and_grad_check():
+    rng = np.random.default_rng(14)
+    a = t(rng.normal(size=(2, 3, 4, 5)))
+    for axes in ((0, 2, 1, 3), (0, 2, 3, 1), (3, 1, 0, 2)):
+        out = ad.permute(a, axes)
+        np.testing.assert_array_equal(out.data, np.transpose(a.data, axes))
+        w = rng.normal(size=out.shape)
+        res = check(lambda a: weighted(ad.permute(a, axes), w), [a], tol=1e-6)
+        assert res.n_coords >= 50
+
+
+def test_matmul_nd_by_2d_values_and_grad_check():
+    rng = np.random.default_rng(15)
+    a = t(rng.normal(size=(2, 3, 4, 5)))
+    b = t(rng.normal(size=(5, 6)))
+    out = ad.matmul(a, b)
+    assert out.shape == (2, 3, 4, 6)
+    np.testing.assert_allclose(out.data, np.matmul(a.data, b.data),
+                               rtol=1e-12, atol=1e-12)
+    w = rng.normal(size=out.shape)
+    res = check(lambda a, b: weighted(ad.matmul(a, b), w), [a, b], tol=1e-6)
+    assert res.n_coords >= 50
+
+
+def test_head_pair_kl_grad_check():
+    # concentrated rows keep entries away from the 1e-8 floor
+    rng = np.random.default_rng(16)
+    p = t(rng.dirichlet(np.full(4, 5.0), size=(2, 3, 4)))
+    res = check(lambda p: ad.head_pair_kl(p), [p], tol=1e-6)
+    assert res.n_coords >= 50
+    logits = t(rng.normal(size=(2, 4, 3, 3)))
+    res = check(lambda z: ad.head_pair_kl(ad.row_softmax(z)), [logits],
+                tol=1e-6)
+    assert res.n_coords >= 50
+
+
+def test_head_pair_kl_disjoint_one_hots_hand_value():
+    # heads 0 and 1 put all mass on different tokens: both KL directions
+    # equal ln(1e8) - 1e-8 ln(1e8) under the floor
+    p = t([[[[1.0, 0.0]], [[0.0, 1.0]]]])
+    expected = math.log(1e8) * (1.0 - 1e-8)
+    assert float(ad.head_pair_kl(p).data) == pytest.approx(expected, rel=1e-12)
+
+
+def test_head_pair_kl_clamped_entries_get_zero_grad():
+    p = t([[[[1.0, 0.0]], [[0.5, 0.5]]]])
+    with Tape() as tape:
+        kl = ad.head_pair_kl(p)
+    tape.backward(kl)
+    assert p.grad[0, 0, 0, 1] == 0.0  # clamped coordinate is gradient-dead
+    assert p.grad[0, 0, 0, 0] != 0.0
+    with pytest.raises(ValueError, match="H >= 2"):
+        ad.head_pair_kl(t(np.full((2, 1, 3, 3), 1 / 3)))
+
+
+@pytest.mark.parametrize("heads", [1, 2, 3, 4])
+def test_batched_heads_match_per_head_oracles(heads):
+    rng = np.random.default_rng(20 + heads)
+    tokens = t(rng.normal(size=(5, 4, 12)))
+    attn = AttentionParams(*(t(rng.normal(size=(12, 12)) * 0.5)
+                             for _ in range(4)))
+    w = rng.normal(size=(5, 4, 12))
+    leaves = [tokens, attn.wq, attn.wk, attn.wv, attn.wo]
+
+    def run(forward, diversity):
+        for leaf in leaves:
+            leaf.grad = None
+        with Tape() as tape:
+            out, att = forward()
+            div = diversity(att)
+            loss = ad.add(weighted(out, w), div)
+        tape.backward(loss)
+        return out, att, div, [leaf.grad for leaf in leaves]
+
+    out, att, div, grads = run(
+        lambda: multi_head_attention(tokens, attn, heads), head_diversity)
+    o_out, o_atts, o_div, o_grads = run(
+        lambda: oracle_multi_head_attention(tokens, attn, heads),
+        oracle_head_diversity)
+    assert att.shape == (5, heads, 4, 4)
+    tol = dict(rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(out.data, o_out.data, **tol)
+    np.testing.assert_allclose(att.data,
+                               np.stack([a.data for a in o_atts], axis=1),
+                               **tol)
+    np.testing.assert_allclose(div.data, o_div.data, **tol)
+    for got, want in zip(grads, o_grads):
+        np.testing.assert_allclose(got, want, **tol)
+
+    # maps with entries under the floor, where the gradient masks matter
+    maps = rng.dirichlet(np.full(4, 0.3), size=(6, heads, 4))
+    maps[0, :, 0] = np.eye(4)[rng.integers(0, 4, size=heads)]
+    stacked = t(maps)
+    per_head = [t(maps[:, h]) for h in range(heads)]
+    with Tape() as tape:
+        div = head_diversity(stacked)
+    with Tape() as o_tape:
+        o_div = oracle_head_diversity(per_head)
+    np.testing.assert_allclose(div.data, o_div.data, **tol)
+    if heads > 1:
+        tape.backward(div)
+        o_tape.backward(o_div)
+        np.testing.assert_allclose(
+            stacked.grad, np.stack([p.grad for p in per_head], axis=1), **tol)
 
 
 def test_row_softmax_rows_sum_to_one_and_grads():

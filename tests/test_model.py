@@ -119,7 +119,7 @@ def test_attention_hand_example_one_dim_heads():
         return ea / (ea + eb), eb / (ea + eb)
     a00, a01 = soft(x * x, x * y)
     a10, a11 = soft(y * x, y * y)
-    np.testing.assert_allclose(atts[0].data[0],
+    np.testing.assert_allclose(atts.data[0, 0],
                                [[a00, a01], [a10, a11]], rtol=1e-10)
     np.testing.assert_allclose(out.data[0, 0, 0], a00 * x + a01 * y, rtol=1e-10)
 
@@ -129,8 +129,8 @@ def test_attention_single_token_is_identity_mass():
     tokens = Tensor(rng.normal(size=(4, 1, 6)))
     attn = AttentionParams(*(Tensor(rng.normal(size=(6, 6))) for _ in range(4)))
     out, atts = multi_head_attention(tokens, attn, heads=2)
-    for att in atts:
-        np.testing.assert_allclose(att.data, 1.0, atol=1e-12)
+    assert atts.shape == (4, 2, 1, 1)
+    np.testing.assert_allclose(atts.data, 1.0, atol=1e-12)
     expected = tokens.data @ attn.wv.data @ attn.wo.data
     np.testing.assert_allclose(out.data, expected, rtol=1e-10, atol=1e-12)
 
@@ -141,14 +141,14 @@ def test_attention_identical_tokens_uniform_rows():
     tokens = Tensor(np.tile(one, (3, 5, 1)))
     attn = AttentionParams(*(Tensor(rng.normal(size=(6, 6))) for _ in range(4)))
     _, atts = multi_head_attention(tokens, attn, heads=3)
-    for att in atts:
-        np.testing.assert_allclose(att.data, 0.2, atol=1e-12)
+    assert atts.shape == (3, 3, 5, 5)
+    np.testing.assert_allclose(atts.data, 0.2, atol=1e-12)
 
 
 def test_attention_rows_sum_to_one():
     _, cache, params = small_setup()
     out = model_forward(cache, params)
-    for att in out.coarse_attention + out.fine_attention:
+    for att in (out.coarse_attention, out.fine_attention):
         np.testing.assert_allclose(att.data.sum(axis=-1), 1.0, atol=1e-9)
 
 
@@ -160,8 +160,8 @@ def test_attention_rejects_non_finite_tokens():
 
 
 def test_influence_factors_hand_example():
-    att = Tensor(np.array([[[0.7, 0.3], [0.4, 0.6]]]))
-    beta = influence_factors([att])
+    att = Tensor(np.array([[[[0.7, 0.3], [0.4, 0.6]]]]))
+    beta = influence_factors(att)
     np.testing.assert_allclose(beta.data, [[0.55, 0.45]], rtol=1e-12)
 
 
@@ -177,9 +177,9 @@ def test_fine_attention_runs_on_influence_scaled_tokens():
     keys, embs = path_embeddings(cache, params)
     tokens = assemble_tokens(embs)
     scaled = Tensor(tokens.data * out.beta.data[:, :, None])
-    _, expect_atts = multi_head_attention(scaled, params.fine, params.heads)
-    for got, want in zip(out.fine_attention, expect_atts):
-        np.testing.assert_allclose(got.data, want.data, rtol=1e-12, atol=1e-14)
+    _, expect_att = multi_head_attention(scaled, params.fine, params.heads)
+    np.testing.assert_allclose(out.fine_attention.data, expect_att.data,
+                               rtol=1e-12, atol=1e-14)
 
 
 def test_gate_zero_averages_the_two_levels():
@@ -187,9 +187,9 @@ def test_gate_zero_averages_the_two_levels():
     assert float(params.gate.data) == 0.0  # fresh gate => sigmoid 0.5
     keys, embs = path_embeddings(cache, params)
     tokens = assemble_tokens(embs)
-    coarse_out, coarse_atts = multi_head_attention(tokens, params.coarse,
-                                                   params.heads)
-    beta = influence_factors(coarse_atts)
+    coarse_out, coarse_att = multi_head_attention(tokens, params.coarse,
+                                                  params.heads)
+    beta = influence_factors(coarse_att)
     scaled = Tensor(tokens.data * beta.data[:, :, None])
     fine_out, _ = multi_head_attention(scaled, params.fine, params.heads)
     fused = 0.5 * coarse_out.data + 0.5 * fine_out.data
@@ -214,6 +214,26 @@ def test_node_permutation_equivariance():
     base = model_forward(cache, params).logits.data
     permuted = model_forward(cache.take_rows(perm), params).logits.data
     np.testing.assert_allclose(permuted, base[perm], rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_forward_on_taken_rows_is_bit_identical(dtype):
+    # gate-size toy: training scores each epoch on the train and
+    # validation rows alone, which is exact only if no row sees another
+    g = generate_toy(ToySpec(n_target=300, n_aux=75, num_classes=4,
+                             feature_dim=8, noise=1.2, edges_per_node=4,
+                             train_frac=0.15, val_frac=0.15, tolerance=0.03,
+                             homophily=0.5, seed=0))
+    cache = build_cache(g, 4, 2).astype(dtype)
+    params = init_model_params(cache, hidden=32, heads=4, alpha=0.25,
+                               rng=np.random.default_rng(0), dtype=dtype)
+    full = model_forward(cache, params)
+    scored = np.flatnonzero(g.train_mask | g.val_mask)
+    some = np.random.default_rng(1).choice(cache.n_target, 37, replace=False)
+    for rows in (scored, some):
+        part = model_forward(cache.take_rows(rows), params)
+        np.testing.assert_array_equal(part.logits.data, full.logits.data[rows])
+        np.testing.assert_array_equal(part.beta.data, full.beta.data[rows])
 
 
 def test_batch_size_invariance():

@@ -12,7 +12,7 @@ from ahgnn.train import (Adam, Metrics, TrainConfig, evaluate, f1_scores,
                          head_diversity, train, training_loss,
                          write_beta_csv, write_gamma_csv, write_metrics_csv)
 
-from oracles import oracle_f1
+from oracles import oracle_f1, oracle_train_history
 
 
 def tiny_graph(seed=0, **kw):
@@ -142,32 +142,30 @@ def test_evaluate_ignores_unlabeled_and_unmasked():
 # --------------------------------------------------------------------- loss
 
 def test_head_diversity_single_head_is_zero_constant():
-    att = Tensor(np.array([[[0.5, 0.5]]]))
-    r = head_diversity([att])
+    att = Tensor(np.array([[[[0.5, 0.5]]]]))
+    r = head_diversity(att)
     assert float(r.data) == 0.0
 
 
 def test_head_diversity_identical_heads_is_zero():
     att = np.array([[[0.3, 0.7], [0.9, 0.1]]])
-    r = head_diversity([Tensor(att.copy()), Tensor(att.copy())])
+    r = head_diversity(Tensor(np.stack([att, att], axis=1)))
     assert float(r.data) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_head_diversity_disjoint_one_hot_pinned_value():
-    a = Tensor(np.array([[[1.0, 0.0]]]))
-    b = Tensor(np.array([[[0.0, 1.0]]]))
-    r = head_diversity([a, b])
+    r = head_diversity(Tensor(np.array([[[[1.0, 0.0]], [[0.0, 1.0]]]])))
     # both KL directions equal ln(1e8) - 1e-8*ln(1e8) under the 1e-8 floor
     expected = -math.log(1e8) * (1.0 - 1e-8)
     assert float(r.data) == pytest.approx(expected, rel=1e-12)
 
 
 def test_head_diversity_rewards_disagreement():
-    a = Tensor(np.array([[[0.9, 0.1]]]))
-    b = Tensor(np.array([[[0.1, 0.9]]]))
-    c = Tensor(np.array([[[0.85, 0.15]]]))
-    far = head_diversity([a, b])
-    near = head_diversity([a, c])
+    a = np.array([[[0.9, 0.1]]])
+    b = np.array([[[0.1, 0.9]]])
+    c = np.array([[[0.85, 0.15]]])
+    far = head_diversity(Tensor(np.stack([a, b], axis=1)))
+    near = head_diversity(Tensor(np.stack([a, c], axis=1)))
     assert float(far.data) < float(near.data) < 0.0
 
 
@@ -270,6 +268,40 @@ def test_train_stops_on_non_finite_loss(monkeypatch):
     assert res.diverged is True
     assert res.history == []
     assert res.best_epoch == 0
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(max_epochs=25),
+    dict(max_epochs=40, patience=3, lr=3e-2, seed=2),
+    dict(max_epochs=12, precision="f64", seed=1),
+])
+def test_history_matches_full_row_oracle(overrides):
+    # per-epoch metrics come from the train and validation rows alone;
+    # the oracle scores every epoch on a forward over all rows
+    g = generate_toy(ToySpec(n_target=40, n_aux=12, num_classes=3,
+                             homophily=0.6, feature_dim=4, train_frac=0.3,
+                             val_frac=0.3, seed=3))
+    cache = build_cache(g, 2, 2)
+    cfg = tiny_config(**overrides)
+    res = train(g, cache, cfg)
+    assert res.history == oracle_train_history(g, cache, cfg)
+
+
+def test_taped_step_tape_size():
+    # gate fixture: l1=4, l2=2, hidden 32, heads 4; a per-head loop in
+    # attention or in head diversity would add about 100 records
+    from ahgnn.model import init_model_params, model_forward
+    g = generate_toy(ToySpec(n_target=300, n_aux=75, num_classes=4,
+                             feature_dim=8, noise=1.2, edges_per_node=4,
+                             train_frac=0.15, val_frac=0.15, tolerance=0.03,
+                             homophily=0.5, seed=0))
+    cache = build_cache(g, 4, 2).astype(np.float32)
+    params = init_model_params(cache, 32, 4, 0.25, np.random.default_rng(0))
+    mask = g.train_mask & (g.labels >= 0)
+    with ad.Tape() as tape:
+        out = model_forward(cache, params)
+        loss, _ = training_loss(out, g.labels, mask, 1e-4, 1e-4)
+    assert len(tape.records) <= 140, len(tape.records)
 
 
 def test_train_requires_labeled_splits():
