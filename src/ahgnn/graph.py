@@ -204,7 +204,10 @@ def _load_tsv(path: Path, ncols: int, dtype) -> np.ndarray:
     if not text.strip():
         return np.zeros((0, ncols), dtype=dtype)
     try:
-        arr = np.loadtxt(io.StringIO(text), delimiter="\t", dtype=dtype, ndmin=2)
+        # numpy parses bytes faster than a str stream; the text is decoded
+        # first, so decoding errors and newline handling stay read_text's
+        arr = np.loadtxt(io.BytesIO(text.encode("utf-8")), delimiter="\t",
+                         dtype=dtype, ndmin=2, encoding="utf-8")
     except ValueError as e:
         raise DatasetError(f"{path.name}: could not parse: {e}") from None
     return arr

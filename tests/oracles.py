@@ -6,9 +6,10 @@ evidence rather than tautology.  The exceptions are slow paths that the
 library replaced: oracle_rewire_to_homophily, the rewirer's
 full-recompute loop, which scores every proposal with graph_homophily
 (itself checked against the walk-count oracles here) instead of the
-incremental evaluator; the per-head attention loop and the pairwise
-head-diversity loop; and the training loop that scores every epoch on a
-forward pass over all rows.
+incremental evaluator; the homophily report that counts every path on
+its canonical (sorted, memoised) walk product through coords(); the
+per-head attention loop and the pairwise head-diversity loop; and the
+training loop that scores every epoch on a forward pass over all rows.
 """
 
 from collections import Counter
@@ -18,7 +19,9 @@ import numpy as np
 
 import ahgnn.autodiff as ad
 from ahgnn.graph import HeteroGraph
-from ahgnn.metapath import graph_homophily
+from ahgnn.metapath import (HomophilyReport, PathHomophily, PathProducts,
+                            _mean_ratio, _target_paths, graph_homophily,
+                            homophily_histogram, induced_adjacency)
 from ahgnn.model import init_model_params, model_forward
 from ahgnn.sparse import SparseMatrix
 from ahgnn.synth import RewireResult, _relation_from_pairs, _with_relation
@@ -75,6 +78,56 @@ def oracle_local_homophily(adj_dense, labels):
         if den:
             out[i] = num / den
     return out
+
+
+def _coords_edge_counts(adj: SparseMatrix, labels: np.ndarray) -> tuple[int, int]:
+    """(same-label, all) induced edges that qualify: off-diagonal, both ends labeled."""
+    r, c = adj.coords()
+    keep = (r != c) & (labels[r] >= 0) & (labels[c] >= 0)
+    return int((labels[r[keep]] == labels[c[keep]]).sum()), int(keep.sum())
+
+
+def _coords_local_homophily(adj: SparseMatrix, labels: np.ndarray) -> np.ndarray:
+    """Per-node same-label neighbor fraction; NaN where undefined."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if adj.rows != labels.shape[0] or adj.cols != labels.shape[0]:
+        raise ValueError("adjacency must be square over the labeled node set")
+    r, c = adj.coords()
+    keep = (r != c) & (labels[r] >= 0) & (labels[c] >= 0)
+    r, c = r[keep], c[keep]
+    n = adj.rows
+    deg = np.bincount(r, minlength=n).astype(np.float64)
+    same = np.bincount(r[labels[r] == labels[c]], minlength=n).astype(np.float64)
+    out = np.full(n, np.nan)
+    has = deg > 0
+    out[has] = same[has] / deg[has]
+    return out
+
+
+def oracle_build_homophily_report(graph: HeteroGraph,
+                                  max_len: int = 4) -> HomophilyReport:
+    """ahgnn.metapath.build_homophily_report counted on canonical products.
+
+    Every path's walk product comes sorted and memoised from
+    PathProducts (spspmm), and its qualifying entries are read off
+    coords() with index masks.
+    """
+    paths = _target_paths(graph, max_len)
+    products = PathProducts(graph, normalized=False)
+    rows = []
+    for p in paths:
+        adj = induced_adjacency(graph, p, products=products)
+        same, total = _coords_edge_counts(adj, graph.labels)
+        rows.append(PathHomophily(
+            key=p.key,
+            global_ratio=same / total if total else None,
+            n_edges=total,
+            histogram=homophily_histogram(
+                _coords_local_homophily(adj, graph.labels)),
+        ))
+    return HomophilyReport(paths=rows,
+                           graph_level=_mean_ratio(r.global_ratio for r in rows),
+                           max_len=max_len)
 
 
 def oracle_f1(preds, labels, num_classes):

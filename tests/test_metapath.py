@@ -10,8 +10,9 @@ from ahgnn.metapath import (MetaPath, PathProducts, build_homophily_report,
                             induced_adjacency, local_homophily,
                             write_homophily_csv)
 from ahgnn.sparse import SparseMatrix
-from oracles import (oracle_global_homophily, oracle_local_homophily,
-                     oracle_walk_counts, random_typed_graph)
+from oracles import (oracle_build_homophily_report, oracle_global_homophily,
+                     oracle_local_homophily, oracle_walk_counts,
+                     random_typed_graph)
 
 TOY = Path(__file__).parent / "data" / "toy"
 
@@ -248,3 +249,97 @@ def test_report_keeps_graph_homophily_errors():
         build_homophily_report(no_path, 4)
     with pytest.raises(ValueError, match="qualifying edge"):
         build_homophily_report(two_type_graph([]), 4)
+
+
+def assert_reports_equal(got, want):
+    assert [p.key for p in got.paths] == [p.key for p in want.paths]
+    for a, b in zip(got.paths, want.paths):
+        assert a.global_ratio == b.global_ratio, a.key
+        assert a.n_edges == b.n_edges and isinstance(a.n_edges, int), a.key
+        np.testing.assert_array_equal(a.histogram, b.histogram)
+    assert got.graph_level == want.graph_level
+    assert got.max_len == want.max_len
+
+
+def assert_matches_oracle_report(g, depth):
+    """Same report as the canonical-product oracle, or the same error."""
+    try:
+        want = oracle_build_homophily_report(g, depth)
+    except ValueError as e:
+        for f in (build_homophily_report, graph_homophily):
+            with pytest.raises(ValueError) as got:
+                f(g, depth)
+            assert str(got.value) == str(e)
+        return None
+    got = build_homophily_report(g, depth)
+    assert_reports_equal(got, want)
+    assert graph_homophily(g, depth) == got.graph_level
+    return got
+
+
+def test_report_matches_canonical_coords_oracle():
+    for g in [load_dataset(TOY)] + [random_typed_graph(s) for s in range(60)]:
+        for depth in (2, 3, 4, 5):
+            assert_matches_oracle_report(g, depth)
+
+
+def test_report_pins_unlabeled_ends_closed_walks_and_isolated_node():
+    # B0 joins A0-A3, B1 only A2; A3 is unlabeled and A4 has no edge.  A-B-A
+    # rows: A0 and A1 each see one same- and one other-label neighbour (A3
+    # skipped), A2 sees two other-label ones; the closed walks A0-A0 and
+    # A2-A2 (two walks) are skipped.
+    g = two_type_graph([(0, 0), (1, 0), (2, 0), (3, 0), (2, 1)],
+                       n_a=5, n_b=2, labels=(0, 0, 1, -1, 1))
+    rep = assert_matches_oracle_report(g, 2)
+    assert [p.key for p in rep.paths] == ["A-B-A"]
+    assert rep.paths[0].global_ratio == 2 / 6
+    assert rep.paths[0].n_edges == 6
+    np.testing.assert_array_equal(rep.paths[0].histogram, [1, 0, 2, 0, 0])
+    adj = induced_adjacency(g, MetaPath(("A", "B", "A")))
+    np.testing.assert_array_equal(local_homophily(adj, g.labels),
+                                  [0.5, 0.5, 0.0, np.nan, np.nan])
+    for depth in (3, 4, 5):
+        assert_matches_oracle_report(g, depth)
+
+
+def test_report_on_self_relation():
+    # directed A-A with a self-loop on A0; labels 0, 0, 1
+    rel = SparseMatrix.from_dense(np.array(
+        [[1, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=float))
+    g = HeteroGraph.create(("A",), {"A": 3}, {"A": np.zeros((3, 1))},
+                           {("A", "A"): rel}, "A", [0, 0, 1], 2, [0, 0, 0])
+    rep = assert_matches_oracle_report(g, 2)
+    assert [p.key for p in rep.paths] == ["A-A", "A-A-A"]
+    # A-A: (0,1) same, (1,2) and (2,0) not; A-A-A = [[1,1,1],[1,0,0],[1,1,0]]
+    assert [p.global_ratio for p in rep.paths] == [1 / 3, 2 / 5]
+    assert [p.n_edges for p in rep.paths] == [3, 5]
+    for depth in (3, 4, 5):
+        assert_matches_oracle_report(g, depth)
+
+
+def test_report_skips_walks_that_cancel_under_signed_weights():
+    # A1's two walks to A0 carry +1 and -1: A-B-A[0, 1] is 0, so the
+    # same-label pair (A0, A1) is no edge, and A-B-A scores 0 of 4
+    rel = SparseMatrix.from_dense(np.array([[1, 1], [1, -1], [1, 0]], dtype=float))
+    g = HeteroGraph.create(("A", "B"), {"A": 3, "B": 2},
+                           {"A": np.zeros((3, 1)), "B": np.zeros((2, 1))},
+                           {("A", "B"): rel}, "A", [0, 0, 1], 2, [0, 0, 0])
+    dense = oracle_walk_counts(g, ("A", "B", "A"))
+    assert dense[0, 1] == 0 and dense[1, 0] == 0
+    rep = assert_matches_oracle_report(g, 2)
+    assert rep.paths[0].global_ratio == oracle_global_homophily(dense, g.labels) == 0.0
+    assert rep.paths[0].n_edges == 4
+    for depth in (3, 4, 5):
+        assert_matches_oracle_report(g, depth)
+
+
+def test_homophily_skips_explicitly_stored_zeros():
+    # not canonical: (0, 1) is stored with value 0, so it is no edge
+    adj = SparseMatrix(rows=3, cols=3, row_offsets=np.array([0, 2, 2, 2]),
+                       col_indices=np.array([1, 2]),
+                       values=np.array([0.0, 3.0]))
+    labels = np.array([0, 0, 1])
+    assert global_homophily(adj, labels) == 0.0
+    np.testing.assert_array_equal(local_homophily(adj, labels),
+                                  [0.0, np.nan, np.nan])
+    np.testing.assert_array_equal(adj.values, [0.0, 3.0])  # left as it was
