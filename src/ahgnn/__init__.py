@@ -26,7 +26,9 @@ from .propagate import MessageCache, build_cache, read_cache, write_cache
 from .sparse import SparseMatrix, normalize_relation, spmm, spspmm
 from .spectral import filter_response, spectrum, verify_lowpass
 from .synth import RewireSpec, ToySpec, generate_toy, rewire_to_homophily
-from .train import Adam, Metrics, TrainConfig, evaluate, train
+# `train` (the function) stays in ahgnn.train: re-exporting it here would
+# rebind the package attribute ahgnn.train from the submodule to it.
+from .train import Adam, Metrics, TrainConfig, evaluate
 
 __all__ = [
     "Tape", "Tensor", "grad_check",
@@ -39,5 +41,5 @@ __all__ = [
     "SparseMatrix", "normalize_relation", "spmm", "spspmm",
     "filter_response", "spectrum", "verify_lowpass",
     "RewireSpec", "ToySpec", "generate_toy", "rewire_to_homophily",
-    "Adam", "Metrics", "TrainConfig", "evaluate", "train",
+    "Adam", "Metrics", "TrainConfig", "evaluate",
 ]

@@ -24,7 +24,7 @@ from .model import (gamma_table, beta_table, init_gamma, load_checkpoint,
 from .propagate import build_cache, read_cache, write_cache
 from .spectral import random_connected_adjacency, verify_lowpass
 from .synth import RewireSpec, ToySpec, generate_toy, rewire_to_homophily
-from .train import (TrainConfig, evaluate, train, write_beta_csv,
+from .train import (TrainConfig, evaluate_split, train, write_beta_csv,
                     write_gamma_csv, write_metrics_csv, write_run_json)
 
 
@@ -136,9 +136,8 @@ def _cmd_eval(args) -> int:
     cache = _load_or_build_cache(ns, g)
     dtype = np.float32 if config.get("precision", "f32") == "f32" else np.float64
     params = restore_model_params(arrays, cache, config, dtype=dtype)
-    logits = model_forward(cache.astype(dtype), params).logits.data
     mask = g.val_mask if args.split == "val" else g.test_mask
-    m = evaluate(logits, g.labels, mask)
+    m = evaluate_split(cache, params, g.labels, mask, dtype)
     out = _outdir(args)
     with open(out / "eval.json", "w") as f:
         json.dump({"split": args.split, "macro_f1": m.macro_f1,

@@ -3,9 +3,13 @@
 The objective is cross entropy on the train split plus two regularizers
 that PUSH attention heads apart: for each attention level, minus the
 mean symmetric KL divergence over unordered head pairs (so minimizing
-the loss maximizes disagreement between heads).  Validation micro-F1
+the loss maximizes disagreement between heads).  The model is
+row-independent, so each epoch's taped forward and backward run on the
+train rows alone, and both regularizers average over those rows: no
+validation or test input reaches a gradient.  Validation micro-F1
 drives early stopping and best-parameter selection; the per-epoch
-metrics forward runs on the train and validation rows alone.
+metrics forward runs on the train and validation rows alone, and the
+closing test score forwards only the test rows.
 """
 
 from __future__ import annotations
@@ -133,7 +137,12 @@ def head_diversity(att: Tensor) -> Tensor:
 def training_loss(output: ModelOutput, labels: np.ndarray,
                   train_mask: np.ndarray, lambda1: float,
                   lambda2: float) -> tuple[Tensor, dict]:
-    """Cross entropy plus weighted coarse/fine diversity terms."""
+    """Cross entropy plus weighted coarse/fine diversity terms.
+
+    Cross entropy reads the masked rows; both diversity terms average
+    over every row of `output`.  `train` therefore passes the output of
+    a forward over the train rows alone, with an all-true mask.
+    """
     ce = ad.cross_entropy_logits(output.logits, labels, train_mask)
     r_coarse = head_diversity(output.coarse_attention)
     r_fine = head_diversity(output.fine_attention)
@@ -170,14 +179,35 @@ def f1_scores(predictions: np.ndarray, labels: np.ndarray,
     return Metrics(macro_f1=float(per_class.mean()), micro_f1=micro)
 
 
+def labeled_rows(mask: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Indices of the masked, labeled nodes, the rows `evaluate` scores."""
+    rows = np.flatnonzero(np.asarray(mask, dtype=bool)
+                          & (np.asarray(labels) >= 0))
+    if rows.size == 0:
+        raise ValueError("evaluation mask selects no labeled node")
+    return rows
+
+
 def evaluate(logits: np.ndarray, labels: np.ndarray,
              mask: np.ndarray) -> Metrics:
     """Argmax predictions scored on masked, labeled nodes."""
-    mask = np.asarray(mask, dtype=bool) & (np.asarray(labels) >= 0)
-    if not np.any(mask):
-        raise ValueError("evaluation mask selects no labeled node")
-    preds = np.argmax(logits[mask], axis=1)
-    return f1_scores(preds, np.asarray(labels)[mask], logits.shape[1])
+    rows = labeled_rows(mask, labels)
+    preds = np.argmax(logits[rows], axis=1)
+    return f1_scores(preds, np.asarray(labels)[rows], logits.shape[1])
+
+
+def evaluate_split(cache: MessageCache, params: ModelParams,
+                   labels: np.ndarray, mask: np.ndarray, dtype) -> Metrics:
+    """`evaluate` on a forward over the masked, labeled rows alone.
+
+    Equals `evaluate` on an all-rows forward, because the model is
+    row-independent; only the rows it scores are cast and forwarded.
+    """
+    rows = labeled_rows(mask, labels)
+    logits = model_forward(cache.take_rows(rows).astype(dtype),
+                           params).logits.data
+    return evaluate(logits, np.asarray(labels)[rows],
+                    np.ones(rows.size, dtype=bool))
 
 
 @dataclass
@@ -218,9 +248,8 @@ def train(graph: HeteroGraph, cache: MessageCache,
             f"cache was built for L1={cache.l1}, L2={cache.l2}; config asks "
             f"for L1={config.l1}, L2={config.l2}")
     dtype = config.dtype
-    work = cache.astype(dtype)
     rng = np.random.default_rng(config.seed)
-    params = init_model_params(work, config.hidden, config.heads, config.alpha,
+    params = init_model_params(cache, config.hidden, config.heads, config.alpha,
                                rng, dtype=dtype,
                                fix_gamma=config.fix_gamma_uniform)
     named = params.all_parameters()
@@ -233,10 +262,15 @@ def train(graph: HeteroGraph, cache: MessageCache,
     if not np.any(val_mask):
         raise ValueError("validation split holds no labeled node")
 
-    # The model is row-independent, so per-epoch metrics need only the
-    # rows they read: train and validation.
+    # The model is row-independent, so each forward runs on the rows it
+    # is read on: the taped step on the train rows (the loss reads no
+    # other), the per-epoch metrics on the train and validation rows.
+    train_rows = np.flatnonzero(train_mask)
+    train_cache = cache.take_rows(train_rows).astype(dtype)
+    train_labels = labels[train_rows]
+    train_all = np.ones(train_rows.size, dtype=bool)
     scored = np.flatnonzero(train_mask | val_mask)
-    scored_cache = work.take_rows(scored)
+    scored_cache = cache.take_rows(scored).astype(dtype)
     scored_labels = labels[scored]
     scored_train, scored_val = train_mask[scored], val_mask[scored]
 
@@ -252,8 +286,8 @@ def train(graph: HeteroGraph, cache: MessageCache,
         for t in named.values():
             t.grad = None
         with ad.Tape() as tape:
-            out = model_forward(work, params)
-            loss, _ = training_loss(out, labels, train_mask,
+            out = model_forward(train_cache, params)
+            loss, _ = training_loss(out, train_labels, train_all,
                                     config.lambda1, config.lambda2)
         loss_val = float(loss.data)
         if not np.isfinite(loss_val):
@@ -281,8 +315,7 @@ def train(graph: HeteroGraph, cache: MessageCache,
     _restore(params, best)
     test_mask = graph.test_mask & (labels >= 0)
     if np.any(test_mask):
-        test = evaluate(model_forward(work, params).logits.data, labels,
-                        test_mask)
+        test = evaluate_split(cache, params, labels, test_mask, dtype)
     else:
         test = Metrics(macro_f1=float("nan"), micro_f1=float("nan"))
     return TrainResult(params=params, history=history, best_epoch=best_epoch,

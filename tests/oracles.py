@@ -9,10 +9,12 @@ full-recompute loop, which scores every proposal with graph_homophily
 incremental evaluator; the homophily report that counts every path on
 its canonical (sorted, memoised) walk product through coords(); the
 per-head attention loop and the pairwise head-diversity loop; and the
-training loop that scores every epoch on a forward pass over all rows.
+training loop that runs every forward, the taped step included, over
+all rows.
 """
 
 from collections import Counter
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -314,11 +316,24 @@ def oracle_head_diversity(atts):
     return ad.scale(acc, -1.0 / len(pairs))
 
 
-def oracle_train_history(graph: HeteroGraph, cache, config) -> list[EpochRow]:
-    """ahgnn.train.train's epoch loop, scoring each epoch on all rows.
+def _take_rows_taped(a, rows):
+    """a[rows] along the first axis, recorded on the tape."""
+    def vjp(g):
+        out = np.zeros_like(a.data)
+        out[rows] = g
+        return (out,)
 
-    Same initialisation, objective, optimiser and early stopping; the
-    per-epoch metrics come from a forward pass over every target node.
+    return ad._emit(a.data[rows], (a,), vjp)
+
+
+def oracle_train_history(graph: HeteroGraph, cache, config) -> list[EpochRow]:
+    """ahgnn.train.train's epoch loop, with every forward over all rows.
+
+    Same initialisation, objective, optimiser and early stopping.  The
+    taped step forwards every target node, takes cross entropy on the
+    train mask and both diversity regularizers on the train rows of the
+    attention maps; the per-epoch metrics come from a second forward
+    over every target node.
     """
     dtype = config.dtype
     work = cache.astype(dtype)
@@ -330,6 +345,7 @@ def oracle_train_history(graph: HeteroGraph, cache, config) -> list[EpochRow]:
     labels = graph.labels
     train_mask = graph.train_mask & (labels >= 0)
     val_mask = graph.val_mask & (labels >= 0)
+    train_rows = np.flatnonzero(train_mask)
     history = []
     best_val = -1.0
     bad_epochs = 0
@@ -338,6 +354,12 @@ def oracle_train_history(graph: HeteroGraph, cache, config) -> list[EpochRow]:
             t.grad = None
         with ad.Tape() as tape:
             out = model_forward(work, params)
+            out = replace(
+                out,
+                coarse_attention=_take_rows_taped(out.coarse_attention,
+                                                  train_rows),
+                fine_attention=_take_rows_taped(out.fine_attention,
+                                                train_rows))
             loss, _ = training_loss(out, labels, train_mask,
                                     config.lambda1, config.lambda2)
         loss_val = float(loss.data)

@@ -12,7 +12,10 @@ import pytest
 
 import ahgnn
 from ahgnn.cli import default_cache_path, dispatch
-from ahgnn.graph import load_dataset
+from ahgnn.graph import load_dataset, save_dataset
+from ahgnn.model import load_checkpoint, model_forward, restore_model_params
+from ahgnn.propagate import build_cache
+from ahgnn.train import evaluate
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -155,6 +158,55 @@ def test_eval_with_missing_explicit_cache_fails(toy_dir, tmp_path, capsys,
     assert code == 1
     assert str(missing) in captured.err
     assert not (tmp_path / "eval5" / "eval.json").exists()
+
+
+def test_eval_equals_all_rows_evaluate_on_both_splits(tmp_path, capsys,
+                                                     monkeypatch):
+    # eval forwards only the split's labeled rows; the reference scores an
+    # all-rows forward.  A barely trained model on a mixed-homophily graph
+    # scores the two splits differently, so a wrong row set shows.
+    monkeypatch.delenv("AHGNN_CACHE_DIR", raising=False)
+    data = tmp_path / "mixed"
+    run_ok(["synth", "--out", str(data), "--n-target", "60", "--n-aux", "20",
+            "--num-classes", "3", "--homophily", "0.5", "--seed", "1"], capsys)
+    out = tmp_path / "run"
+    run_ok(["train", "--data", str(data), "--out", str(out), "--epochs", "2",
+            "--hidden", "8", "--heads", "2"], capsys)
+    g = load_dataset(data)
+    config, arrays = load_checkpoint(out / "model.ahgm")
+    cache = build_cache(g, 2, 2)
+    params = restore_model_params(arrays, cache, config)
+    logits = model_forward(cache.astype(np.float32), params).logits.data
+    scores = {}
+    for split, mask in (("val", g.val_mask), ("test", g.test_mask)):
+        eout = tmp_path / f"eval-{split}"
+        run_ok(["eval", "--data", str(data), "--checkpoint",
+                str(out / "model.ahgm"), "--split", split, "--out", str(eout)],
+               capsys)
+        ref = evaluate(logits, g.labels, mask)
+        scores[split] = json.loads((eout / "eval.json").read_text())
+        assert scores[split] == {"split": split, "macro_f1": ref.macro_f1,
+                                 "micro_f1": ref.micro_f1}
+    assert scores["val"]["micro_f1"] != scores["test"]["micro_f1"]
+
+
+def test_eval_of_a_split_without_labels_exits_one(toy_dir, tmp_path, capsys,
+                                                  monkeypatch):
+    monkeypatch.delenv("AHGNN_CACHE_DIR", raising=False)
+    g = load_dataset(toy_dir)
+    g.labels[g.test_mask] = -1
+    data = tmp_path / "no-test-labels"
+    save_dataset(g, data)
+    out = tmp_path / "run"
+    run_ok(["train", "--data", str(data), "--out", str(out), "--epochs", "1",
+            "--hidden", "8", "--heads", "2"], capsys)
+    eout = tmp_path / "eval"
+    code = dispatch(["eval", "--data", str(data), "--checkpoint",
+                     str(out / "model.ahgm"), "--split", "test",
+                     "--out", str(eout)])
+    assert code == 1
+    assert "selects no labeled node" in capsys.readouterr().err
+    assert not (eout / "eval.json").exists()
 
 
 def test_synth_rewire_mode(toy_dir, tmp_path, capsys):

@@ -206,6 +206,18 @@ def test_config_dtype_mapping():
 
 # ----------------------------------------------------------------- training
 
+def test_package_attribute_train_is_the_submodule():
+    # the package re-exports no `train` function that would shadow the
+    # submodule, so patching ahgnn.train patches what train() reads
+    import sys
+    import types
+
+    import ahgnn
+    assert isinstance(ahgnn.train, types.ModuleType)
+    assert ahgnn.train is sys.modules["ahgnn.train"]
+    assert "train" not in ahgnn.__all__
+
+
 def test_train_depth_mismatch_is_an_error():
     g, cache = tiny_graph()
     with pytest.raises(ValueError, match="cache was built"):
@@ -276,15 +288,92 @@ def test_train_stops_on_non_finite_loss(monkeypatch):
     dict(max_epochs=12, precision="f64", seed=1),
 ])
 def test_history_matches_full_row_oracle(overrides):
-    # per-epoch metrics come from the train and validation rows alone;
-    # the oracle scores every epoch on a forward over all rows
+    # train() runs the taped step on the train rows and the per-epoch
+    # metrics on the train and validation rows; the oracle runs every
+    # forward over all rows, with the regularizers on the train rows of
+    # its attention maps.  Its weight gradients sum over more (zero) rows,
+    # which may move float rounding, so the loss gets a tolerance: 1e-6
+    # relative, well under the ~7e-6 that regularizers over all rows
+    # would add on this fixture.
     g = generate_toy(ToySpec(n_target=40, n_aux=12, num_classes=3,
                              homophily=0.6, feature_dim=4, train_frac=0.3,
                              val_frac=0.3, seed=3))
     cache = build_cache(g, 2, 2)
     cfg = tiny_config(**overrides)
     res = train(g, cache, cfg)
-    assert res.history == oracle_train_history(g, cache, cfg)
+    ref = oracle_train_history(g, cache, cfg)
+
+    def columns(history):
+        return [(r.epoch, r.train_micro, r.val_macro, r.val_micro)
+                for r in history]
+
+    assert columns(res.history) == columns(ref)
+    ref_best = max(ref, key=lambda r: (r.val_micro, -r.epoch)).epoch
+    assert res.best_epoch == ref_best
+    np.testing.assert_allclose([r.loss for r in res.history],
+                               [r.loss for r in ref], rtol=1e-6, atol=0)
+
+
+def _one_step(monkeypatch, g, cache):
+    """Loss and parameter gradients of a one-epoch train()'s taped step."""
+    seen = {}
+    step = Adam.step
+
+    def spy(self, params):
+        seen.update({n: p.grad.copy() for n, p in params.items()
+                     if p.grad is not None})
+        return step(self, params)
+
+    monkeypatch.setattr(Adam, "step", spy)
+    res = train(g, cache, tiny_config(max_epochs=1))
+    return res.history[0].loss, seen
+
+
+def test_taped_step_reads_only_train_rows(monkeypatch):
+    # the loss, its regularizers included, and every gradient depend on
+    # the train rows' messages alone: overwrite every other row with noise
+    g = generate_toy(ToySpec(n_target=40, n_aux=12, num_classes=3,
+                             homophily=0.6, feature_dim=4, train_frac=0.3,
+                             val_frac=0.3, seed=3))
+    cache = build_cache(g, 2, 2)
+    others = ~(g.train_mask & (g.labels >= 0))
+    noisy = cache.take_rows(np.arange(cache.n_target))
+    rng = np.random.default_rng(7)
+    for hops in [*noisy.feature_entries.values(),
+                 *noisy.label_entries.values()]:
+        for h in hops:
+            h[others] = rng.normal(size=h[others].shape)
+    loss, grads = _one_step(monkeypatch, g, cache)
+    noisy_loss, noisy_grads = _one_step(monkeypatch, g, noisy)
+    assert loss == noisy_loss
+    assert sorted(grads) == sorted(noisy_grads) and grads
+    for name, gr in grads.items():
+        np.testing.assert_array_equal(gr, noisy_grads[name], err_msg=name)
+
+
+def test_evaluate_split_equals_all_rows_evaluate(monkeypatch):
+    import importlib
+    from ahgnn.model import init_model_params, model_forward
+    from ahgnn.train import evaluate_split
+    g = generate_toy(ToySpec(n_target=40, n_aux=12, num_classes=3,
+                             homophily=0.6, feature_dim=4, train_frac=0.3,
+                             val_frac=0.3, seed=3))
+    cache = build_cache(g, 2, 2)
+    params = init_model_params(cache, 8, 2, 0.25, np.random.default_rng(0))
+    logits = model_forward(cache.astype(np.float32), params).logits.data
+    for mask in (g.val_mask, g.test_mask):
+        assert evaluate_split(cache, params, g.labels, mask, np.float32) == \
+            evaluate(logits, g.labels, mask)
+    # an empty split fails before any forward runs
+    train_module = importlib.import_module("ahgnn.train")
+
+    def no_forward(*args):
+        raise AssertionError("forward on an empty split")
+
+    monkeypatch.setattr(train_module, "model_forward", no_forward)
+    with pytest.raises(ValueError, match="selects no labeled node"):
+        evaluate_split(cache, params, g.labels,
+                       np.zeros(g.n_target, dtype=bool), np.float32)
 
 
 def test_taped_step_tape_size():
