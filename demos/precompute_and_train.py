@@ -2,7 +2,7 @@
 
 Mirrors what `ahgnn synth` + `ahgnn precompute` + `ahgnn train` do, but
 through the library API so every intermediate object can be printed:
-the hop-message cache, the learned per-hop weight profiles, and the
+the per-path message cache, the learned per-hop weight profiles, and the
 coarse path-influence weights of the fused model.
 """
 
@@ -24,12 +24,11 @@ def main() -> None:
     cache = build_cache(graph, l1=2, l2=2)
     print(f"\nprecomputed message cache (fingerprint "
           f"{cache.fingerprint:#018x}):")
-    for key, hops in cache.feature_entries.items():
-        shapes = " ".join(str(h.shape) for h in hops)
-        print(f"  feature path {key:<8} hops: {shapes}")
-    for key, hops in cache.label_entries.items():
-        shapes = " ".join(str(h.shape) for h in hops)
-        print(f"  label   path {key:<8} hops: {shapes}")
+    # one stored message per path; hop l of a path is its prefix's message
+    for kind, messages in (("feature", cache.feature_messages),
+                           ("label  ", cache.label_messages)):
+        for key, m in messages.items():
+            print(f"  {kind} path {key:<8} message {m.shape}")
 
     cfg = TrainConfig(lr=1e-3, max_epochs=150, patience=150,
                       hidden=64, heads=4, seed=0)

@@ -80,10 +80,9 @@ def _cmd_precompute(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     write_cache(cache, out)
     write_run_json(_run_config(args), out.parent / "run.json")
-    n_msgs = sum(len(v) for v in cache.feature_entries.values()) \
-        + sum(len(v) for v in cache.label_entries.values())
-    print(f"wrote {out} ({len(cache.feature_entries)} feature paths, "
-          f"{len(cache.label_entries)} label paths, {n_msgs} messages)")
+    n_f, n_l = len(cache.feature_messages), len(cache.label_messages)
+    print(f"wrote {out} ({n_f} feature paths, {n_l} label paths: "
+          f"{n_f + n_l} stored matrices)")
     return 0
 
 
@@ -198,12 +197,13 @@ def _cmd_grad_check(args) -> int:
     from .autodiff import grad_check
     from .model import init_model_params
     from .propagate import build_cache as _bc
-    from .train import training_loss
+    from .train import labeled_rows, training_loss
 
     g = generate_toy(ToySpec(n_target=20, n_aux=10, num_classes=2,
                              homophily=0.8, feature_dim=5, edges_per_node=3,
                              seed=args.seed, tolerance=0.05))
-    cache = _bc(g, 2, 2).astype(np.float64)
+    rows = labeled_rows(g.train_mask, g.labels)  # `train` steps on these alone
+    cache = _bc(g, 2, 2).take_rows(rows).astype(np.float64)
     rng = np.random.default_rng(args.seed)
     params = init_model_params(cache, hidden=8, heads=2, alpha=0.4, rng=rng,
                                dtype=np.float64)
@@ -211,7 +211,8 @@ def _cmd_grad_check(args) -> int:
 
     def loss_of(*_):
         out = model_forward(cache, params)
-        loss, _parts = training_loss(out, g.labels, g.train_mask, 1e-4, 1e-4)
+        loss, _parts = training_loss(out, g.labels[rows],
+                                     np.ones(rows.size, dtype=bool), 1e-4, 1e-4)
         return loss
 
     result = grad_check(loss_of, tensors, max_coords=args.coords_per_param,

@@ -3,8 +3,9 @@
 Per meta-path, precomputed hop messages are projected into a shared
 hidden space and mixed with learnable hop weights gamma (initialized to
 a decaying convex profile, which is provably low-pass; see spectral).
-Projections are keyed by type prefix, so paths sharing a prefix share
-those projection layers.  The per-path embeddings become a token
+Hop l of a feature path is the message of its prefix, and a forward
+projects each prefix once for every path through it; label hops have a
+projection per (path, hop).  The per-path embeddings become a token
 sequence fused in two rounds of multi-head attention: a coarse round
 whose averaged attention mass yields per-token influence factors, and a
 fine round over influence-scaled tokens; a sigmoid-gated sum of the two,
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .propagate import MessageCache, label_hop_indices
+from .propagate import MessageCache, label_hop_indices, prefix_key
 
 CHECKPOINT_MAGIC = b"AHGM"
 CHECKPOINT_VERSION = 1
@@ -127,37 +128,32 @@ def init_model_params(cache: MessageCache, hidden: int, heads: int,
         raise ValueError(f"hidden ({hidden}) must be a positive multiple of "
                          f"heads ({heads})")
     target = cache.target_type
+    feats = cache.feature_messages
 
     gamma: dict[str, Tensor] = {}
-    prefix_dims: dict[str, int] = {}
-    for key in sorted(cache.feature_entries):
-        hops = cache.feature_entries[key]
-        steps = len(hops) - 1
+    for key in sorted(feats):
+        steps = key.count("-")
         init = np.ones(steps + 1) if fix_gamma else init_gamma(alpha, steps)
         gamma[key] = Tensor(init.astype(dtype), requires_grad=not fix_gamma,
                             name=f"gamma.{key}")
-        types = key.split("-")
-        for l, h in enumerate(hops):
-            prefix = "-".join(types[: l + 1])
-            prefix_dims.setdefault(prefix, h.shape[1])
-
-    fproj = {p: _linear(rng, prefix_dims[p], hidden, dtype, f"fproj.{p}")
-             for p in sorted(prefix_dims)}
+    fproj = {p: _linear(rng, feats[p].shape[1], hidden, dtype, f"fproj.{p}")
+             for p in sorted(feats)}
 
     label_gamma: dict[str, Tensor] = {}
     lproj: dict[tuple[str, int], LinearParams] = {}
-    for key in sorted(cache.label_entries):
-        hops = cache.label_entries[key]
+    for key in sorted(cache.label_messages):
+        hops = label_hop_indices(key, target)
         init = np.ones(len(hops)) if fix_gamma else init_gamma(alpha, len(hops) - 1)
         label_gamma[key] = Tensor(init.astype(dtype),
                                   requires_grad=not fix_gamma,
                                   name=f"lgamma.{key}")
-        for j, hop in enumerate(label_hop_indices(key, target)):
-            lproj[(key, hop)] = _linear(rng, hops[j].shape[1], hidden, dtype,
+        for hop in hops:
+            width = cache.label_messages[prefix_key(key, hop)].shape[1]
+            lproj[(key, hop)] = _linear(rng, width, hidden, dtype,
                                         f"lproj.{key}.{hop}")
 
-    num_classes = cache.num_classes if cache.label_entries else \
-        next(iter(cache.feature_entries.values()))[0].shape[1]
+    num_classes = cache.num_classes if cache.label_messages else \
+        next(iter(feats.values())).shape[1]
     return ModelParams(
         hidden=hidden, heads=heads, gamma=gamma, feature_projections=fproj,
         label_gamma=label_gamma, label_projections=lproj,
@@ -172,38 +168,39 @@ def init_model_params(cache: MessageCache, hidden: int, heads: int,
     )
 
 
+def _projected(x: np.ndarray, lin: LinearParams) -> Tensor:
+    return ad.add(ad.matmul(ad.constant(x), lin.w), lin.b)
+
+
+def _mix(terms: list[Tensor], g: Tensor) -> Tensor:
+    """sum_j g[j] * terms[j]."""
+    acc = None
+    for j, t in enumerate(terms):
+        term = ad.mul(t, ad.index1d(g, j))
+        acc = term if acc is None else ad.add(acc, term)
+    return acc
+
+
 def path_embeddings(cache: MessageCache,
                     params: ModelParams) -> tuple[list[str], list[Tensor]]:
     """Gamma-weighted sums of projected hop messages, one (N, d) per path.
 
-    Feature paths come first (sorted), then label paths (sorted, keys
-    suffixed ':label').
+    Each feature prefix's message is projected once and shared by every
+    path through that prefix.  Feature paths come first (sorted), then
+    label paths (sorted, keys suffixed ':label').
     """
     target = cache.target_type
-    keys: list[str] = []
-    embs: list[Tensor] = []
-    for key in sorted(cache.feature_entries):
-        types = key.split("-")
-        g = params.gamma[key]
-        acc = None
-        for l, s in enumerate(cache.feature_entries[key]):
-            lin = params.feature_projections["-".join(types[: l + 1])]
-            proj = ad.add(ad.matmul(ad.constant(s), lin.w), lin.b)
-            term = ad.mul(proj, ad.index1d(g, l))
-            acc = term if acc is None else ad.add(acc, term)
-        keys.append(key)
-        embs.append(acc)
-    for key in sorted(cache.label_entries):
-        g = params.label_gamma[key]
-        acc = None
-        for j, hop in enumerate(label_hop_indices(key, target)):
-            lin = params.label_projections[(key, hop)]
-            s = cache.label_entries[key][j]
-            proj = ad.add(ad.matmul(ad.constant(s), lin.w), lin.b)
-            term = ad.mul(proj, ad.index1d(g, j))
-            acc = term if acc is None else ad.add(acc, term)
+    proj = {p: _projected(x, params.feature_projections[p])
+            for p, x in cache.feature_messages.items()}
+    keys = sorted(cache.feature_messages)
+    embs = [_mix([proj[prefix_key(key, l)] for l in range(key.count("-") + 1)],
+                 params.gamma[key]) for key in keys]
+    for key in sorted(cache.label_messages):
+        hops = label_hop_indices(key, target)
+        embs.append(_mix([_projected(cache.label_messages[prefix_key(key, hop)],
+                                     params.label_projections[(key, hop)])
+                          for hop in hops], params.label_gamma[key]))
         keys.append(f"{key}:label")
-        embs.append(acc)
     return keys, embs
 
 

@@ -1,13 +1,23 @@
 """Precomputed multi-hop feature and label propagation.
 
-All graph smoothing happens once, before any training: for every
-meta-path from the target type we store the degree-normalized walk
-products applied to raw features (hop 0 = the features themselves), and
-for every meta-path returning to the target type we store the products
-applied to one-hot train labels (hop 0 is omitted, it would leak the
-training labels straight into the model input).  The resulting message
-matrices go into a little-endian binary cache keyed by path strings and
-fingerprinted against the dataset manifest.
+All graph smoothing happens once, before any training.  Hop l of a
+meta-path P is the degree-normalized walk product of its prefix P[:l+1]
+applied to the prefix's end type, and that prefix is itself an
+enumerated path, so the cache stores one message per path: for every
+path of 0..l1 steps from the target type, Â_P times the raw features of
+P's last type (the zero-step path holds the target features); for every
+path of 1..l2 steps back to the target type, Â_P times the one-hot train
+labels.  A path's hop list (`feature_entries`, `label_entries`) is its
+prefixes' messages; a label path's hops are its prefixes that end at the
+target.  There is no label hop 0, the identity, but that does not keep
+train labels out of the input: the diagonal of a target-to-target walk
+product counts closed walks, which carry a train node's own label into
+its label messages.
+
+Cache file, version 2, little-endian: magic, u32 version, u64 dataset
+fingerprint, u32 l1, u32 l2, u32 count, then per message (features, then
+labels, each in key order) u8 kind (0 feature, 1 label), u32 key length,
+key, u32 rows, u32 cols, rows*cols f64.
 """
 
 from __future__ import annotations
@@ -24,56 +34,16 @@ from .metapath import MetaPath, PathProducts, enumerate_metapaths
 from .sparse import spmm
 
 CACHE_MAGIC = b"AHGC"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 class CacheError(ValueError):
     """Raised for unreadable, truncated, or stale cache files."""
 
 
-@dataclass
-class MessageCache:
-    """Hop-indexed message matrices for every feature and label path."""
-
-    l1: int
-    l2: int
-    fingerprint: int
-    feature_entries: dict[str, list[np.ndarray]]
-    label_entries: dict[str, list[np.ndarray]] = field(default_factory=dict)
-
-    @property
-    def target_type(self) -> str:
-        some_key = next(iter(self.feature_entries))
-        return some_key.split("-")[0]
-
-    @property
-    def n_target(self) -> int:
-        return next(iter(self.feature_entries.values()))[0].shape[0]
-
-    @property
-    def num_classes(self) -> int:
-        if not self.label_entries:
-            raise ValueError("cache holds no label entries")
-        return next(iter(self.label_entries.values()))[0].shape[1]
-
-    def take_rows(self, idx: np.ndarray) -> "MessageCache":
-        """Row-sliced copy over a subset of target nodes."""
-        return MessageCache(
-            l1=self.l1, l2=self.l2, fingerprint=self.fingerprint,
-            feature_entries={k: [h[idx] for h in v]
-                             for k, v in self.feature_entries.items()},
-            label_entries={k: [h[idx] for h in v]
-                           for k, v in self.label_entries.items()},
-        )
-
-    def astype(self, dtype) -> "MessageCache":
-        return MessageCache(
-            l1=self.l1, l2=self.l2, fingerprint=self.fingerprint,
-            feature_entries={k: [h.astype(dtype) for h in v]
-                             for k, v in self.feature_entries.items()},
-            label_entries={k: [h.astype(dtype) for h in v]
-                           for k, v in self.label_entries.items()},
-        )
+def prefix_key(key: str, hop: int) -> str:
+    """Key of path `key`'s prefix through step `hop`, whose message is that hop."""
+    return "-".join(key.split("-")[: hop + 1])
 
 
 def label_hop_indices(key: str, target: str) -> list[int]:
@@ -82,25 +52,56 @@ def label_hop_indices(key: str, target: str) -> list[int]:
     return [l for l in range(1, len(types)) if types[l] == target]
 
 
-def _feature_hops(graph: HeteroGraph, products: PathProducts,
-                  path: MetaPath) -> list[np.ndarray]:
-    hops = [graph.features[path.types[0]].copy()]
-    for l in range(1, path.steps + 1):
-        t = path.types[l]
-        prefix = products.matrix(path.types[: l + 1])
-        x = graph.features[t]
-        if prefix.cols != x.shape[0]:
-            raise ValueError(
-                f"feature matrix for type {t!r} has {x.shape[0]} rows but the "
-                f"walk product expects {prefix.cols}")
-        hops.append(spmm(prefix, x))
-    return hops
+@dataclass
+class MessageCache:
+    """One message matrix per feature path and per label path, keyed by path."""
 
+    l1: int
+    l2: int
+    fingerprint: int
+    feature_messages: dict[str, np.ndarray]
+    label_messages: dict[str, np.ndarray] = field(default_factory=dict)
 
-def _label_hops(graph: HeteroGraph, products: PathProducts,
-                path: MetaPath, y: np.ndarray) -> list[np.ndarray]:
-    return [spmm(products.matrix(path.types[: l + 1]), y)
-            for l in label_hop_indices(path.key, path.types[0])]
+    @property
+    def target_type(self) -> str:
+        return next(iter(self.feature_messages)).split("-")[0]
+
+    @property
+    def n_target(self) -> int:
+        return next(iter(self.feature_messages.values())).shape[0]
+
+    @property
+    def num_classes(self) -> int:
+        if not self.label_messages:
+            raise ValueError("cache holds no label entries")
+        return next(iter(self.label_messages.values())).shape[1]
+
+    @property
+    def feature_entries(self) -> dict[str, list[np.ndarray]]:
+        """Per-path hop lists, hop 0 first: a view of the stored arrays."""
+        return {k: [self.feature_messages[prefix_key(k, l)]
+                    for l in range(k.count("-") + 1)]
+                for k in self.feature_messages}
+
+    @property
+    def label_entries(self) -> dict[str, list[np.ndarray]]:
+        """Per-path label hop lists, likewise (hops: `label_hop_indices`)."""
+        return {k: [self.label_messages[prefix_key(k, l)]
+                    for l in label_hop_indices(k, self.target_type)]
+                for k in self.label_messages}
+
+    def _map(self, fn) -> "MessageCache":
+        return MessageCache(
+            l1=self.l1, l2=self.l2, fingerprint=self.fingerprint,
+            feature_messages={k: fn(m) for k, m in self.feature_messages.items()},
+            label_messages={k: fn(m) for k, m in self.label_messages.items()})
+
+    def take_rows(self, idx: np.ndarray) -> "MessageCache":
+        """Row-sliced copy over a subset of target nodes."""
+        return self._map(lambda m: m[idx])
+
+    def astype(self, dtype) -> "MessageCache":
+        return self._map(lambda m: m.astype(dtype))
 
 
 def train_label_matrix(graph: HeteroGraph) -> np.ndarray:
@@ -120,72 +121,72 @@ def _run_jobs(jobs, threads: int):
         return [f.result() for f in futures]
 
 
-def propagate_features(graph: HeteroGraph, l1: int,
-                       threads: int = 1) -> dict[str, list[np.ndarray]]:
-    """Message matrices for every path of 0..l1 steps from the target."""
-    if l1 < 1:
-        raise ValueError("l1 must be >= 1")
-    paths = enumerate_metapaths(graph.schema(), graph.target_type, l1)
+def _messages(graph: HeteroGraph, paths: list[MetaPath], operand,
+              threads: int) -> dict[str, np.ndarray]:
+    """Â_P @ operand(P) per path, one spmm each; a zero-step path copies it."""
     products = PathProducts(graph, normalized=True)
     for p in paths:  # warm the memo serially; products stay deterministic
         products.matrix(p.types)
-    jobs = [(p.key, lambda p=p: _feature_hops(graph, products, p)) for p in paths]
-    results = _run_jobs([fn for _, fn in jobs], threads)
-    return {key: res for (key, _), res in zip(jobs, results)}
+
+    def message(p: MetaPath) -> np.ndarray:
+        x = operand(p)
+        return spmm(products.matrix(p.types), x) if p.steps else x.copy()
+
+    jobs = [lambda p=p: message(p) for p in paths]
+    return dict(zip((p.key for p in paths), _run_jobs(jobs, threads)))
+
+
+def propagate_features(graph: HeteroGraph, l1: int,
+                       threads: int = 1) -> dict[str, np.ndarray]:
+    """Feature message of every path of 0..l1 steps from the target."""
+    if l1 < 1:
+        raise ValueError("l1 must be >= 1")
+    paths = enumerate_metapaths(graph.schema(), graph.target_type, l1)
+    return _messages(graph, paths, lambda p: graph.features[p.types[-1]],
+                     threads)
 
 
 def propagate_labels(graph: HeteroGraph, l2: int,
-                     threads: int = 1) -> dict[str, list[np.ndarray]]:
-    """Propagated one-hot train labels for target-returning paths."""
+                     threads: int = 1) -> dict[str, np.ndarray]:
+    """Propagated one-hot train labels of every target-returning path."""
     if l2 < 1:
         raise ValueError("l2 must be >= 1")
     if not np.any(graph.train_mask & (graph.labels >= 0)):
         raise ValueError("label propagation needs a nonempty labeled train split")
     target = graph.target_type
-    paths = [p for p in enumerate_metapaths(graph.schema(), target, l2,
-                                            end=target, include_trivial=False)]
+    paths = enumerate_metapaths(graph.schema(), target, l2, end=target,
+                                include_trivial=False)
     y = train_label_matrix(graph)
-    products = PathProducts(graph, normalized=True)
-    for p in paths:
-        products.matrix(p.types)
-    jobs = [(p.key, lambda p=p: _label_hops(graph, products, p, y)) for p in paths]
-    results = _run_jobs([fn for _, fn in jobs], threads)
-    return {key: res for (key, _), res in zip(jobs, results)}
+    return _messages(graph, paths, lambda p: y, threads)
 
 
 def build_cache(graph: HeteroGraph, l1: int, l2: int,
                 threads: int = 1) -> MessageCache:
     return MessageCache(
         l1=l1, l2=l2, fingerprint=graph.fingerprint,
-        feature_entries=propagate_features(graph, l1, threads),
-        label_entries=propagate_labels(graph, l2, threads),
+        feature_messages=propagate_features(graph, l1, threads),
+        label_messages=propagate_labels(graph, l2, threads),
     )
-
-
-def _write_entry(f, kind: int, key: str, hops: list[np.ndarray]) -> None:
-    kb = key.encode()
-    f.write(struct.pack("<BI", kind, len(kb)))
-    f.write(kb)
-    f.write(struct.pack("<I", len(hops)))
-    for h in hops:
-        arr = np.ascontiguousarray(h, dtype="<f8")
-        f.write(struct.pack("<II", arr.shape[0], arr.shape[1]))
-        f.write(arr.tobytes())
 
 
 def write_cache(cache: MessageCache, path) -> None:
     """Serialize messages to the binary cache format (deterministic bytes)."""
-    path = Path(path)
-    n = len(cache.feature_entries) + len(cache.label_entries)
-    with open(path, "wb") as f:
+    entries = [(0, k, cache.feature_messages[k])
+               for k in sorted(cache.feature_messages)]
+    entries += [(1, k, cache.label_messages[k])
+                for k in sorted(cache.label_messages)]
+    with open(Path(path), "wb") as f:
         f.write(CACHE_MAGIC)
         f.write(struct.pack("<IQII", CACHE_VERSION, cache.fingerprint,
                             cache.l1, cache.l2))
-        f.write(struct.pack("<I", n))
-        for key in sorted(cache.feature_entries):
-            _write_entry(f, 0, key, cache.feature_entries[key])
-        for key in sorted(cache.label_entries):
-            _write_entry(f, 1, key, cache.label_entries[key])
+        f.write(struct.pack("<I", len(entries)))
+        for kind, key, m in entries:
+            kb = key.encode()
+            arr = np.ascontiguousarray(m, dtype="<f8")
+            f.write(struct.pack("<BI", kind, len(kb)))
+            f.write(kb)
+            f.write(struct.pack("<II", arr.shape[0], arr.shape[1]))
+            f.write(arr.tobytes())
 
 
 def read_cache(path, expect_fingerprint: int | None = None,
@@ -210,7 +211,9 @@ def read_cache(path, expect_fingerprint: int | None = None,
         raise CacheError(f"{path.name} is not a message cache (bad magic)")
     version, fingerprint, l1, l2 = struct.unpack("<IQII", take(20))
     if version != CACHE_VERSION:
-        raise CacheError(f"unsupported cache version {version}")
+        raise CacheError(
+            f"{path.name} is a version {version} cache; this build reads "
+            f"version {CACHE_VERSION}: regenerate with `ahgnn precompute`")
     if expect_fingerprint is not None and fingerprint != expect_fingerprint:
         raise CacheError(
             "stale cache: dataset manifest changed since the cache was "
@@ -221,26 +224,24 @@ def read_cache(path, expect_fingerprint: int | None = None,
             f"stale cache: built for L1={l1}, L2={l2}; regenerate with "
             "`ahgnn precompute`")
     (n_entries,) = struct.unpack("<I", take(4))
-    feats: dict[str, list[np.ndarray]] = {}
-    labs: dict[str, list[np.ndarray]] = {}
+    stores: tuple[dict, dict] = ({}, {})
     for _ in range(n_entries):
         kind, klen = struct.unpack("<BI", take(5))
         key = take(klen).decode()
-        (n_hops,) = struct.unpack("<I", take(4))
-        hops = []
-        for _ in range(n_hops):
-            rows, cols = struct.unpack("<II", take(8))
-            arr = np.frombuffer(take(rows * cols * 8), dtype="<f8")
-            hops.append(arr.reshape(rows, cols).astype(np.float64))
-        if kind == 0:
-            feats[key] = hops
-        elif kind == 1:
-            labs[key] = hops
-        else:
+        rows, cols = struct.unpack("<II", take(8))
+        arr = np.frombuffer(take(rows * cols * 8), dtype="<f8")
+        if kind > 1:
             raise CacheError(f"unknown cache entry kind {kind}")
+        stores[kind][key] = arr.reshape(rows, cols).astype(np.float64)
     if pos != len(data):
         raise CacheError(f"cache file {path.name} has trailing bytes")
-    if not feats:
+    if not stores[0]:
         raise CacheError("cache holds no feature entries")
-    return MessageCache(l1=l1, l2=l2, fingerprint=fingerprint,
-                        feature_entries=feats, label_entries=labs)
+    cache = MessageCache(l1=l1, l2=l2, fingerprint=fingerprint,
+                         feature_messages=stores[0], label_messages=stores[1])
+    try:  # every hop a path reads must be a stored prefix
+        cache.feature_entries, cache.label_entries
+    except KeyError as e:
+        raise CacheError(f"cache file {path.name} lacks the message of path "
+                         f"{e.args[0]}, a prefix of a stored path") from None
+    return cache

@@ -8,14 +8,18 @@ full-recompute loop, which scores every proposal with graph_homophily
 (itself checked against the walk-count oracles here) instead of the
 incremental evaluator; the homophily report that counts every path on
 its canonical (sorted, memoised) walk product through coords(); the
-per-head attention loop and the pairwise head-diversity loop; and the
+per-head attention loop and the pairwise head-diversity loop; the
 training loop that runs every forward, the taped step included, over
-all rows.
+all rows; the path embeddings that project every hop of every path, a
+shared prefix once per path through it; and the version-1 cache writer,
+which stores every path's full hop list.
 """
 
+import struct
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
@@ -25,6 +29,7 @@ from ahgnn.metapath import (HomophilyReport, PathHomophily, PathProducts,
                             _mean_ratio, _target_paths, graph_homophily,
                             homophily_histogram, induced_adjacency)
 from ahgnn.model import init_model_params, model_forward
+from ahgnn.propagate import CACHE_MAGIC, label_hop_indices
 from ahgnn.sparse import SparseMatrix
 from ahgnn.synth import RewireResult, _relation_from_pairs, _with_relation
 from ahgnn.train import Adam, EpochRow, evaluate, training_loss
@@ -381,3 +386,53 @@ def oracle_train_history(graph: HeteroGraph, cache, config) -> list[EpochRow]:
             if bad_epochs > config.patience:
                 break
     return history
+
+
+def oracle_path_embeddings(cache, params):
+    """ahgnn.model.path_embeddings projecting hop by hop, path by path.
+
+    Reads the per-path hop lists (`feature_entries`, `label_entries`), so
+    a prefix shared by k paths is projected k times.
+    """
+    target = cache.target_type
+
+    def mixed(hops, lins, g):
+        acc = None
+        for j, (s, lin) in enumerate(zip(hops, lins)):
+            proj = ad.add(ad.matmul(ad.constant(s), lin.w), lin.b)
+            term = ad.mul(proj, ad.index1d(g, j))
+            acc = term if acc is None else ad.add(acc, term)
+        return acc
+
+    keys, embs = [], []
+    feats = cache.feature_entries
+    for key in sorted(feats):
+        types = key.split("-")
+        lins = [params.feature_projections["-".join(types[: l + 1])]
+                for l in range(len(types))]
+        keys.append(key)
+        embs.append(mixed(feats[key], lins, params.gamma[key]))
+    labs = cache.label_entries
+    for key in sorted(labs):
+        lins = [params.label_projections[(key, hop)]
+                for hop in label_hop_indices(key, target)]
+        keys.append(f"{key}:label")
+        embs.append(mixed(labs[key], lins, params.label_gamma[key]))
+    return keys, embs
+
+
+def write_cache_v1(cache, path) -> None:
+    """Write `cache` in the version-1 layout: a hop count, then every hop."""
+    with open(Path(path), "wb") as f:
+        f.write(CACHE_MAGIC)
+        f.write(struct.pack("<IQII", 1, cache.fingerprint, cache.l1, cache.l2))
+        feats, labs = cache.feature_entries, cache.label_entries
+        f.write(struct.pack("<I", len(feats) + len(labs)))
+        for kind, entries in ((0, feats), (1, labs)):
+            for key in sorted(entries):
+                kb = key.encode()
+                f.write(struct.pack("<BI", kind, len(kb)) + kb)
+                f.write(struct.pack("<I", len(entries[key])))
+                for h in entries[key]:
+                    arr = np.ascontiguousarray(h, dtype="<f8")
+                    f.write(struct.pack("<II", *arr.shape) + arr.tobytes())

@@ -16,6 +16,7 @@ from ahgnn.graph import load_dataset, save_dataset
 from ahgnn.model import load_checkpoint, model_forward, restore_model_params
 from ahgnn.propagate import build_cache
 from ahgnn.train import evaluate
+from oracles import write_cache_v1
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -239,6 +240,55 @@ def test_verify_spectral_and_grad_check(tmp_path, capsys):
                      "--tolerance", "1e-18", "--out", str(gout)])
     capsys.readouterr()
     assert code == 1  # an impossible tolerance must be reported as failure
+
+
+def test_grad_check_differentiates_the_train_objective(tmp_path, capsys,
+                                                       monkeypatch):
+    # `train` takes cross entropy and both regularizers on the labeled
+    # train rows alone; grad-check must differentiate that objective
+    import ahgnn.cli as cli
+    import ahgnn.train as training
+
+    seen = {}
+    real_toy, real_loss = cli.generate_toy, training.training_loss
+
+    def toy(spec):
+        seen["graph"] = real_toy(spec)
+        return seen["graph"]
+
+    def loss(out, labels, mask, lambda1, lambda2):
+        seen.update(rows=out.logits.shape[0], labels=labels.copy(),
+                    mask=mask.copy())
+        return real_loss(out, labels, mask, lambda1, lambda2)
+
+    monkeypatch.setattr(cli, "generate_toy", toy)
+    monkeypatch.setattr(training, "training_loss", loss)
+    run_ok(["grad-check", "--coords-per-param", "1",
+            "--out", str(tmp_path / "gc")], capsys)
+    g = seen["graph"]
+    rows = np.flatnonzero(g.train_mask & (g.labels >= 0))
+    assert 0 < rows.size < g.n_target
+    assert seen["rows"] == rows.size
+    np.testing.assert_array_equal(seen["labels"], g.labels[rows])
+    assert seen["mask"].shape == (rows.size,) and seen["mask"].all()
+
+
+def test_eval_of_a_version_one_cache_exits_one(toy_dir, tmp_path, capsys,
+                                               monkeypatch):
+    monkeypatch.delenv("AHGNN_CACHE_DIR", raising=False)
+    out = tmp_path / "run"
+    run_ok(["train", "--data", str(toy_dir), "--out", str(out),
+            "--epochs", "1", "--hidden", "8", "--heads", "2"], capsys)
+    old = tmp_path / "v1.ahgc"
+    write_cache_v1(build_cache(load_dataset(toy_dir), 2, 2), old)
+    code = dispatch(["eval", "--data", str(toy_dir), "--checkpoint",
+                     str(out / "model.ahgm"), "--cache", str(old),
+                     "--out", str(tmp_path / "eval")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "version 1 cache" in err
+    assert "regenerate with `ahgnn precompute`" in err
+    assert not (tmp_path / "eval" / "eval.json").exists()
 
 
 def test_exit_codes_for_bad_invocations(tmp_path, capsys):

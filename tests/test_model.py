@@ -13,6 +13,8 @@ from ahgnn.model import (AttentionParams, CheckpointError, beta_table,
                          restore_model_params, save_checkpoint)
 from ahgnn.propagate import build_cache
 from ahgnn.synth import ToySpec, generate_toy
+from ahgnn.train import training_loss
+from oracles import oracle_path_embeddings
 
 
 def small_setup(dtype=np.float64, hidden=8, heads=2, l1=2, l2=2, seed=0,
@@ -106,6 +108,53 @@ def test_prefix_projection_is_shared():
     # paths not passing through that prefix are untouched
     np.testing.assert_array_equal(before["A"], after["A"])
     np.testing.assert_array_equal(before["A-B-A:label"], after["A-B-A:label"])
+
+
+def _taped_loss(g, cache, params):
+    named = params.all_parameters()
+    for t in named.values():
+        t.grad = None
+    with ad.Tape() as tape:
+        out = model_forward(cache, params)
+        loss, _ = training_loss(out, g.labels, g.train_mask, 1e-4, 1e-4)
+    tape.backward(loss)
+    return out.logits.data.copy(), {n: t.grad.copy() for n, t in named.items()
+                                    if t.grad is not None}
+
+
+# float32 weight gradients move by summation order alone: a shared
+# prefix's projection gets X^T (sum_P g_P) instead of sum_P X^T g_P
+@pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12),
+                                        (np.float32, 1e-5)])
+def test_prefix_projection_matches_per_path_oracle(monkeypatch, dtype, rtol):
+    g, cache, params = small_setup(dtype=dtype, l1=4, l2=4, seed=2)
+    logits, grads = _taped_loss(g, cache, params)
+    monkeypatch.setattr("ahgnn.model.path_embeddings", oracle_path_embeddings)
+    ref_logits, ref_grads = _taped_loss(g, cache, params)
+    np.testing.assert_array_equal(logits, ref_logits)
+    assert sorted(grads) == sorted(ref_grads) == sorted(params.all_parameters())
+    for name, gr in grads.items():
+        scale = max(float(np.max(np.abs(ref_grads[name]))), 1e-30)
+        assert np.max(np.abs(gr - ref_grads[name])) <= rtol * scale, name
+
+
+def test_forward_projects_each_prefix_once(monkeypatch):
+    _, cache, params = small_setup(l1=4, l2=4)
+    real = ad.matmul
+    seen = []
+
+    def counting(a, b):
+        seen.append(not a.requires_grad)
+        return real(a, b)
+
+    monkeypatch.setattr(ad, "matmul", counting)
+    with ad.Tape():
+        model_forward(cache, params)
+    label_hops = sum(len(h) for h in cache.label_entries.values())
+    feature_hops = sum(len(h) for h in cache.feature_entries.values())
+    assert len(cache.feature_messages) == 5 and feature_hops == 15
+    # one constant-operand product per stored feature prefix and label hop
+    assert sum(seen) == len(cache.feature_messages) + label_hops == 8
 
 
 def test_attention_hand_example_one_dim_heads():

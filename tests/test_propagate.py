@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from ahgnn.graph import load_dataset
-from ahgnn.propagate import (CacheError, MessageCache, build_cache,
-                             label_hop_indices, propagate_features,
-                             propagate_labels, read_cache,
+from ahgnn.propagate import (CACHE_VERSION, CacheError, MessageCache,
+                             build_cache, label_hop_indices, prefix_key,
+                             propagate_features, propagate_labels, read_cache,
                              train_label_matrix, write_cache)
 from ahgnn.synth import ToySpec, generate_toy
-from oracles import random_typed_graph
+from oracles import random_typed_graph, write_cache_v1
 
 TOY = Path(__file__).parent / "data" / "toy"
 
@@ -24,23 +24,30 @@ def dense_normalize(m):
     return out
 
 
+def feature_hops(g, l1):
+    """Per-path hop lists over the messages of propagate_features."""
+    return MessageCache(l1=l1, l2=1, fingerprint=g.fingerprint,
+                        feature_messages=propagate_features(g, l1)
+                        ).feature_entries
+
+
 def test_hop_zero_is_raw_features():
     g = load_dataset(TOY)
-    feats = propagate_features(g, 2)
+    feats = feature_hops(g, 2)
     for key in feats:
         np.testing.assert_array_equal(feats[key][0], g.features["A"])
 
 
 def test_trivial_path_has_single_hop():
     g = load_dataset(TOY)
-    feats = propagate_features(g, 2)
+    feats = feature_hops(g, 2)
     assert "A" in feats
     assert len(feats["A"]) == 1
 
 
 def test_hop_one_matches_dense_oracle_exactly():
     g = load_dataset(TOY)
-    feats = propagate_features(g, 2)
+    feats = feature_hops(g, 2)
     ab = dense_normalize(g.relations[("A", "B")].to_dense())
     np.testing.assert_array_equal(feats["A-B"][1], ab @ g.features["B"])
 
@@ -48,7 +55,7 @@ def test_hop_one_matches_dense_oracle_exactly():
 def test_deep_hops_match_dense_oracle():
     for seed in (0, 3, 5):
         g = random_typed_graph(seed)
-        feats = propagate_features(g, 3)
+        feats = feature_hops(g, 3)
         for key, hops in feats.items():
             types = key.split("-")
             prod = np.eye(g.n("A"))
@@ -68,9 +75,9 @@ def test_train_label_matrix_one_hot_train_rows_only():
 
 def test_label_paths_end_at_target_and_skip_hop_zero():
     g = load_dataset(TOY)
-    labs = propagate_labels(g, 2)
-    assert list(labs) == ["A-B-A"]
-    assert len(labs["A-B-A"]) == 1  # hop 2 only; the hop-0 identity would leak
+    assert list(propagate_labels(g, 2)) == ["A-B-A"]
+    labs = build_cache(g, 2, 2).label_entries
+    assert len(labs["A-B-A"]) == 1  # hop 2 only; no hop-0 identity
     assert label_hop_indices("A-B-A", "A") == [2]
     assert label_hop_indices("A-B-A-B-A", "A") == [2, 4]
     assert label_hop_indices("A-B-C-A", "A") == [3]
@@ -78,7 +85,7 @@ def test_label_paths_end_at_target_and_skip_hop_zero():
 
 def test_label_hop_matches_dense_oracle():
     g = load_dataset(TOY)
-    labs = propagate_labels(g, 2)
+    labs = build_cache(g, 2, 2).label_entries
     ab = dense_normalize(g.relations[("A", "B")].to_dense())
     ba = dense_normalize(g.relations[("B", "A")].to_dense())
     np.testing.assert_allclose(labs["A-B-A"][0],
@@ -89,7 +96,7 @@ def test_label_hop_matches_dense_oracle():
 def test_label_depth_four_hop_positions():
     g = generate_toy(ToySpec(n_target=20, n_aux=10, num_classes=2,
                              homophily=1.0, seed=0))
-    labs = propagate_labels(g, 4)
+    labs = build_cache(g, 1, 4).label_entries
     assert list(labs) == ["A-B-A", "A-B-A-B-A"]
     assert len(labs["A-B-A-B-A"]) == 2  # target positions 2 and 4
 
@@ -115,8 +122,7 @@ def test_threads_do_not_change_results():
     four = propagate_features(g, 3, threads=4)
     assert list(one) == list(four)
     for key in one:
-        for a, b in zip(one[key], four[key]):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(one[key], four[key])
 
 
 def test_cache_round_trip_and_determinism(tmp_path):
@@ -200,3 +206,68 @@ def test_cache_metadata_properties():
     assert cache.target_type == "A"
     assert cache.n_target == 3
     assert cache.num_classes == 2
+
+
+def stored_counts(num_types, l1, l2):
+    """(feature, label) matrices stored for a toy schema of num_types types."""
+    g = generate_toy(ToySpec(n_target=24, n_aux=8, num_types=num_types,
+                             homophily=1.0, seed=0))
+    cache = build_cache(g, l1, l2)
+    return len(cache.feature_messages), len(cache.label_messages)
+
+
+def test_one_stored_matrix_per_path():
+    # the path set depends only on the schema and the depths: two types
+    # (A-B) at l1=4, l2=2 is the gate fixture's, three types (a star around
+    # A) at l1=3, l2=2 the scaling fixture's
+    assert CACHE_VERSION == 2
+    assert stored_counts(2, 4, 2) == (5, 1)
+    assert stored_counts(3, 3, 2) == (9, 2)
+
+
+def assert_hops_are_stored_prefixes(cache):
+    feats, labs = cache.feature_messages, cache.label_messages
+    for key, hops in cache.feature_entries.items():
+        assert len(hops) == key.count("-") + 1
+        for l, h in enumerate(hops):
+            assert h is feats[prefix_key(key, l)]
+    for key, hops in cache.label_entries.items():
+        idx = label_hop_indices(key, cache.target_type)
+        assert len(hops) == len(idx) and idx[-1] == key.count("-")
+        for hop, h in zip(idx, hops):
+            assert h is labs[prefix_key(key, hop)]
+
+
+def test_hop_views_are_the_stored_prefix_matrices(tmp_path):
+    g = generate_toy(ToySpec(n_target=20, n_aux=10, num_classes=2,
+                             homophily=1.0, seed=0))
+    cache = build_cache(g, 4, 4)
+    assert_hops_are_stored_prefixes(cache)
+    write_cache(cache, tmp_path / "c.ahgc")
+    back = read_cache(tmp_path / "c.ahgc")
+    assert_hops_are_stored_prefixes(back)
+    sub = back.take_rows(np.array([3, 1, 4])).astype(np.float32)
+    assert_hops_are_stored_prefixes(sub)
+    assert sub.feature_entries["A-B-A"][2].dtype == np.float32
+    # one copy per stored matrix, none shared with the source
+    assert not any(np.shares_memory(sub.feature_messages[k], m)
+                   for k, m in back.feature_messages.items())
+
+
+def test_version_one_cache_asks_for_regeneration(tmp_path):
+    g = load_dataset(TOY)
+    path = tmp_path / "v1.ahgc"
+    write_cache_v1(build_cache(g, 2, 2), path)
+    with pytest.raises(CacheError, match="regenerate with `ahgnn precompute`"):
+        read_cache(path)
+    with pytest.raises(CacheError, match="version 1 cache"):
+        read_cache(path, expect_fingerprint=g.fingerprint)
+
+
+def test_cache_missing_a_prefix_is_rejected(tmp_path):
+    g = load_dataset(TOY)
+    cache = build_cache(g, 2, 2)
+    del cache.feature_messages["A-B"]
+    write_cache(cache, tmp_path / "c.ahgc")
+    with pytest.raises(CacheError, match="lacks the message of path A-B"):
+        read_cache(tmp_path / "c.ahgc")
