@@ -5,6 +5,12 @@ whose records are already in execution order, so the backward pass is a
 single reversed sweep with gradient accumulation.  Outside any tape the
 same ops run forward-only, which is what inference uses.
 
+The model's token axis is short (one token per meta-path, 6 on the
+gate fixture), and numpy runs a reduction over so short an axis about
+ten times slower than the same work as one elementwise op per token
+column.  So `row_softmax` and `mean_axis` reduce with a loop over
+slabs: one `np.maximum` or `+=` per column of the reduced axis.
+
 Gradient checking compares against central finite differences and is
 meant to run at float64.
 """
@@ -184,7 +190,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return _emit((a2 @ b.data).reshape(out_shape), (a, b), vjp_rows)
 
     def vjp(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
+        bt = np.swapaxes(b.data, -1, -2)
+        if bt.ndim > 2:
+            # a stacked product runs faster on a contiguous copy of a
+            # transposed right operand; a transposed left operand stays a
+            # view, since copying it cost more than it saved at 960 rows
+            # of 11 tokens
+            bt = np.ascontiguousarray(bt)
+        ga = _unbroadcast(g @ bt, a.data.shape)
         gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
         return ga, gb
 
@@ -215,6 +228,35 @@ def reshape(a: Tensor, shape: tuple) -> Tensor:
 
 def unsqueeze(a: Tensor, axis: int) -> Tensor:
     return reshape(a, a.data.shape[:axis] + (1,) + a.data.shape[axis:])
+
+
+def weighted_sum(terms: list[Tensor], w: Tensor) -> Tensor:
+    """sum_j w[j] * terms[j] for a 1-D weight vector, as one tape record.
+
+    The products are summed left to right, as the chain of `mul`/`add`
+    ops that spells the same sum would.
+    """
+    if w.data.ndim != 1 or w.data.shape[0] != len(terms) or not terms:
+        raise ValueError("weighted_sum needs one weight per term")
+    acc = terms[0].data * w.data[0]
+    for j in range(1, len(terms)):
+        acc = acc + terms[j].data * w.data[j]
+
+    def vjp(g):
+        gw = np.array([_unbroadcast(g * t.data, ()) for t in terms],
+                      dtype=w.data.dtype) if w.requires_grad else None
+        return (*(g * w.data[j] for j in range(len(terms))), gw)
+
+    return _emit(acc, (*terms, w), vjp)
+
+
+def _slab_reduce(op, x: np.ndarray, axis: int) -> np.ndarray:
+    """op.reduce(x, axis) as one elementwise `op` per index of `axis`, in order."""
+    lead = (slice(None),) * (axis % x.ndim)
+    acc = np.array(x[lead + (0,)])
+    for j in range(1, x.shape[axis]):
+        op(acc, x[lead + (j,)], out=acc)
+    return acc
 
 
 def index1d(a: Tensor, i: int) -> Tensor:
@@ -254,13 +296,12 @@ def concat(parts: list[Tensor], axis: int) -> Tensor:
 
 
 def row_softmax(a: Tensor) -> Tensor:
-    """Softmax along the last axis."""
-    z = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=-1, keepdims=True)
+    """Softmax along the last axis, reduced slab by slab."""
+    e = np.exp(a.data - _slab_reduce(np.maximum, a.data, -1)[..., None])
+    s = e / _slab_reduce(np.add, e, -1)[..., None]
 
     def vjp(g):
-        dot = (g * s).sum(axis=-1, keepdims=True)
+        dot = _slab_reduce(np.add, g * s, -1)[..., None]
         return (s * (g - dot),)
 
     return _emit(s, (a,), vjp)
@@ -275,8 +316,9 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def mean_axis(a: Tensor, axis: int) -> Tensor:
+    """Mean over one axis, summed slab by slab."""
     n = a.data.shape[axis]
-    return _emit(a.data.mean(axis=axis), (a,),
+    return _emit(_slab_reduce(np.add, a.data, axis) / n, (a,),
                  lambda g: (np.repeat(np.expand_dims(g / n, axis), n, axis=axis),))
 
 

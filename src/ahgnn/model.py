@@ -172,15 +172,6 @@ def _projected(x: np.ndarray, lin: LinearParams) -> Tensor:
     return ad.add(ad.matmul(ad.constant(x), lin.w), lin.b)
 
 
-def _mix(terms: list[Tensor], g: Tensor) -> Tensor:
-    """sum_j g[j] * terms[j]."""
-    acc = None
-    for j, t in enumerate(terms):
-        term = ad.mul(t, ad.index1d(g, j))
-        acc = term if acc is None else ad.add(acc, term)
-    return acc
-
-
 def path_embeddings(cache: MessageCache,
                     params: ModelParams) -> tuple[list[str], list[Tensor]]:
     """Gamma-weighted sums of projected hop messages, one (N, d) per path.
@@ -193,13 +184,15 @@ def path_embeddings(cache: MessageCache,
     proj = {p: _projected(x, params.feature_projections[p])
             for p, x in cache.feature_messages.items()}
     keys = sorted(cache.feature_messages)
-    embs = [_mix([proj[prefix_key(key, l)] for l in range(key.count("-") + 1)],
-                 params.gamma[key]) for key in keys]
+    embs = [ad.weighted_sum([proj[prefix_key(key, l)]
+                             for l in range(key.count("-") + 1)],
+                            params.gamma[key]) for key in keys]
     for key in sorted(cache.label_messages):
         hops = label_hop_indices(key, target)
-        embs.append(_mix([_projected(cache.label_messages[prefix_key(key, hop)],
-                                     params.label_projections[(key, hop)])
-                          for hop in hops], params.label_gamma[key]))
+        embs.append(ad.weighted_sum(
+            [_projected(cache.label_messages[prefix_key(key, hop)],
+                        params.label_projections[(key, hop)]) for hop in hops],
+            params.label_gamma[key]))
         keys.append(f"{key}:label")
     return keys, embs
 

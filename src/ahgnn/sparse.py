@@ -4,7 +4,10 @@ A relation between two node types is stored as a CSR triple
 (row_offsets, col_indices, values) in canonical form: duplicate
 coordinates summed, column indices strictly increasing inside each row,
 no explicitly stored zeros.  Products and canonicalization delegate to
-scipy.sparse, which is exact for integer-valued float64 inputs.
+scipy.sparse, which is exact for integer-valued float64 inputs.  Index
+arrays are int32 whenever the shape and entry count fit, as scipy's own
+are: handed int64 indices, scipy scans them on every conversion to see
+whether they fit int32.
 """
 
 from __future__ import annotations
@@ -13,6 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+
+
+def _index_dtype(rows: int, cols: int, nnz: int):
+    return np.int32 if max(rows, cols, nnz) <= np.iinfo(np.int32).max \
+        else np.int64
 
 
 @dataclass(frozen=True)
@@ -39,11 +47,13 @@ class SparseMatrix:
         m.sum_duplicates()
         m.eliminate_zeros()
         m.sort_indices()
+        rows, cols = int(m.shape[0]), int(m.shape[1])
+        idx = _index_dtype(rows, cols, m.nnz)
         return SparseMatrix(
-            rows=int(m.shape[0]),
-            cols=int(m.shape[1]),
-            row_offsets=m.indptr.astype(np.int64),
-            col_indices=m.indices.astype(np.int64),
+            rows=rows,
+            cols=cols,
+            row_offsets=m.indptr.astype(idx),
+            col_indices=m.indices.astype(idx),
             values=m.data.astype(np.float64),
         )
 
@@ -72,11 +82,12 @@ class SparseMatrix:
 
     @staticmethod
     def empty(rows: int, cols: int) -> "SparseMatrix":
+        idx = _index_dtype(rows, cols, 0)
         return SparseMatrix(
             rows=rows,
             cols=cols,
-            row_offsets=np.zeros(rows + 1, dtype=np.int64),
-            col_indices=np.zeros(0, dtype=np.int64),
+            row_offsets=np.zeros(rows + 1, dtype=idx),
+            col_indices=np.zeros(0, dtype=idx),
             values=np.zeros(0, dtype=np.float64),
         )
 
@@ -99,10 +110,14 @@ class SparseMatrix:
         return np.asarray(self.to_scipy().sum(axis=0)).ravel()
 
     def coords(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return (row, col) index arrays of the stored entries, row-major."""
+        """Return (row, col) int64 index arrays of the stored entries, row-major.
+
+        int64, whatever the stored index dtype, so that index arithmetic
+        such as r * cols + c cannot overflow.
+        """
         counts = np.diff(self.row_offsets)
         r = np.repeat(np.arange(self.rows, dtype=np.int64), counts)
-        return r, self.col_indices.copy()
+        return r, self.col_indices.astype(np.int64)
 
     def validate(self) -> None:
         """Check the canonical-form invariants; raise ValueError on breakage."""

@@ -86,6 +86,17 @@ class Adam:
 
     Weight decay shrinks parameters by lr*wd*theta before the moment
     update.  A step with any non-finite gradient is rejected wholesale.
+
+    A step updates every live parameter (one that requires and holds a
+    gradient) at once: their gradients are concatenated in float64 into
+    one flat vector beside flat first and second moment buffers, and
+    their values into one flat vector per dtype, so a step costs a fixed
+    number of numpy calls instead of a dozen per parameter.  Element by
+    element the arithmetic is that of a per-parameter loop (decay in the
+    parameter's dtype, moments in float64), so the results are
+    bit-identical to it.  `m` and `v` map each parameter name to its
+    slice of the moment buffers; a parameter that holds no gradient in a
+    step keeps its moments until it is live again.
     """
 
     def __init__(self, lr: float, weight_decay: float = 0.0,
@@ -96,30 +107,64 @@ class Adam:
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
+        self._layout: tuple = ()
+        self._flat_m = self._flat_v = np.zeros(0)
+
+    def _lay_out(self, live: dict[str, Tensor]) -> None:
+        """Flat moment buffers over `live`, carrying over stored moments."""
+        self._layout = tuple((n, p.data.shape) for n, p in live.items())
+        size = sum(p.data.size for p in live.values())
+        self._flat_m, self._flat_v = np.zeros(size), np.zeros(size)
+        lo = 0
+        for name, p in live.items():
+            hi = lo + p.data.size
+            for flat, store in ((self._flat_m, self.m), (self._flat_v, self.v)):
+                if name in store:
+                    flat[lo:hi] = store[name].ravel()
+                store[name] = flat[lo:hi].reshape(p.data.shape)
+            lo = hi
 
     def step(self, params: dict[str, Tensor]) -> bool:
         """Apply one update; returns False (no change) on non-finite grads."""
         live = {n: p for n, p in params.items()
                 if p.requires_grad and p.grad is not None}
-        for p in live.values():
-            if not np.all(np.isfinite(p.grad)):
-                return False
+        if not live:
+            self.t += 1
+            return True
+        g = np.concatenate([p.grad.ravel() for p in live.values()],
+                           dtype=np.float64)
+        if not np.isfinite(g).all():
+            return False
+        if tuple((n, p.data.shape) for n, p in live.items()) != self._layout:
+            self._lay_out(live)
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        for name, p in live.items():
-            g = p.grad.astype(np.float64)
-            if name not in self.m:
-                self.m[name] = np.zeros_like(g)
-                self.v[name] = np.zeros_like(g)
+        m, v = self._flat_m, self._flat_v
+        m *= self.beta1
+        m += (1 - self.beta1) * g
+        gg = (1 - self.beta2) * g
+        gg *= g
+        v *= self.beta2
+        v += gg
+        upd = self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+
+        groups: dict[np.dtype, list[tuple[Tensor, int]]] = {}
+        lo = 0
+        for p in live.values():
+            groups.setdefault(p.data.dtype, []).append((p, lo))
+            lo += p.data.size
+        for dtype, members in groups.items():
+            theta = np.concatenate([p.data.ravel() for p, _ in members])
+            delta = upd if len(members) == len(live) else np.concatenate(
+                [upd[o:o + p.data.size] for p, o in members])
             if self.weight_decay:
-                p.data = p.data - self.lr * self.weight_decay * p.data
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
-            m_hat = self.m[name] / b1t
-            v_hat = self.v[name] / b2t
-            upd = self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-            p.data = (p.data - upd.astype(p.data.dtype)).astype(p.data.dtype)
+                theta = theta - self.lr * self.weight_decay * theta
+            theta = theta - delta.astype(dtype)
+            pos = 0
+            for p, _ in members:
+                p.data = theta[pos:pos + p.data.size].reshape(p.data.shape)
+                pos += p.data.size
         return True
 
 
@@ -161,21 +206,27 @@ class Metrics:
 
 def f1_scores(predictions: np.ndarray, labels: np.ndarray,
               num_classes: int) -> Metrics:
-    """Macro (mean over ALL classes, empty classes scoring 0) and micro F1."""
+    """Macro (mean over ALL classes, empty classes scoring 0) and micro F1.
+
+    Both come from one confusion matrix, counted with a single bincount.
+    """
     predictions = np.asarray(predictions, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
     if predictions.shape != labels.shape:
         raise ValueError("prediction/label length mismatch")
     if labels.size == 0:
         raise ValueError("cannot score an empty label set")
-    per_class = np.zeros(num_classes)
-    for c in range(num_classes):
-        tp = int(np.sum((predictions == c) & (labels == c)))
-        fp = int(np.sum((predictions == c) & (labels != c)))
-        fn = int(np.sum((predictions != c) & (labels == c)))
-        denom = 2 * tp + fp + fn
-        per_class[c] = (2 * tp / denom) if denom else 0.0
-    micro = float(np.mean(predictions == labels))
+    if min(predictions.min(), labels.min()) < 0 or \
+            max(predictions.max(), labels.max()) >= num_classes:
+        raise ValueError(f"classes must lie in [0, {num_classes})")
+    cm = np.bincount(labels * num_classes + predictions,
+                     minlength=num_classes * num_classes
+                     ).reshape(num_classes, num_classes)
+    tp = np.diagonal(cm)
+    denom = cm.sum(axis=0) + cm.sum(axis=1)  # 2 tp + fp + fn
+    per_class = np.divide(2 * tp, denom, out=np.zeros(num_classes),
+                          where=denom > 0)
+    micro = float(tp.sum() / labels.size)
     return Metrics(macro_f1=float(per_class.mean()), micro_f1=micro)
 
 

@@ -11,8 +11,10 @@ its canonical (sorted, memoised) walk product through coords(); the
 per-head attention loop and the pairwise head-diversity loop; the
 training loop that runs every forward, the taped step included, over
 all rows; the path embeddings that project every hop of every path, a
-shared prefix once per path through it; and the version-1 cache writer,
-which stores every path's full hop list.
+shared prefix once per path through it; the version-1 cache writer,
+which stores every path's full hop list; the softmax that reduces with
+numpy axis reductions; the Adam that updates one parameter at a time;
+and the F1 that counts each class with its own masks.
 """
 
 import struct
@@ -32,7 +34,7 @@ from ahgnn.model import init_model_params, model_forward
 from ahgnn.propagate import CACHE_MAGIC, label_hop_indices
 from ahgnn.sparse import SparseMatrix
 from ahgnn.synth import RewireResult, _relation_from_pairs, _with_relation
-from ahgnn.train import Adam, EpochRow, evaluate, training_loss
+from ahgnn.train import Adam, EpochRow, Metrics, evaluate, training_loss
 
 
 def oracle_walk_counts(graph: HeteroGraph, types) -> np.ndarray:
@@ -150,6 +152,71 @@ def oracle_f1(preds, labels, num_classes):
         f1s.append(2 * tp / (2 * tp + fp + fn) if (2 * tp + fp + fn) else 0.0)
     micro = float(np.trace(cm)) / float(cm.sum())
     return float(np.mean(f1s)), micro
+
+
+def oracle_f1_scores(predictions, labels, num_classes: int) -> Metrics:
+    """ahgnn.train.f1_scores counting each class's tp/fp/fn with masks."""
+    predictions = np.asarray(predictions, dtype=np.int64)
+    labels = np.asarray(labels, dtype=np.int64)
+    per_class = np.zeros(num_classes)
+    for c in range(num_classes):
+        tp = int(np.sum((predictions == c) & (labels == c)))
+        fp = int(np.sum((predictions == c) & (labels != c)))
+        fn = int(np.sum((predictions != c) & (labels == c)))
+        denom = 2 * tp + fp + fn
+        per_class[c] = (2 * tp / denom) if denom else 0.0
+    micro = float(np.mean(predictions == labels))
+    return Metrics(macro_f1=float(per_class.mean()), micro_f1=micro)
+
+
+def oracle_row_softmax(a):
+    """ahgnn.autodiff.row_softmax with numpy reductions over the last axis."""
+    z = a.data - a.data.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    s = e / e.sum(axis=-1, keepdims=True)
+
+    def vjp(g):
+        dot = (g * s).sum(axis=-1, keepdims=True)
+        return (s * (g - dot),)
+
+    return ad._emit(s, (a,), vjp)
+
+
+class OracleAdam:
+    """ahgnn.train.Adam as a loop that updates one parameter at a time."""
+
+    def __init__(self, lr: float, weight_decay: float = 0.0,
+                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        self.lr = lr
+        self.weight_decay = weight_decay
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.t = 0
+        self.m: dict[str, np.ndarray] = {}
+        self.v: dict[str, np.ndarray] = {}
+
+    def step(self, params) -> bool:
+        live = {n: p for n, p in params.items()
+                if p.requires_grad and p.grad is not None}
+        for p in live.values():
+            if not np.all(np.isfinite(p.grad)):
+                return False
+        self.t += 1
+        b1t = 1.0 - self.beta1 ** self.t
+        b2t = 1.0 - self.beta2 ** self.t
+        for name, p in live.items():
+            g = p.grad.astype(np.float64)
+            if name not in self.m:
+                self.m[name] = np.zeros_like(g)
+                self.v[name] = np.zeros_like(g)
+            if self.weight_decay:
+                p.data = p.data - self.lr * self.weight_decay * p.data
+            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
+            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
+            m_hat = self.m[name] / b1t
+            v_hat = self.v[name] / b2t
+            upd = self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data = (p.data - upd.astype(p.data.dtype)).astype(p.data.dtype)
+        return True
 
 
 def graphs_identical(a: HeteroGraph, b: HeteroGraph) -> bool:

@@ -8,7 +8,8 @@ from ahgnn.autodiff import Tape, Tensor, grad_check
 from ahgnn.model import AttentionParams, multi_head_attention
 from ahgnn.train import head_diversity
 
-from oracles import oracle_head_diversity, oracle_multi_head_attention
+from oracles import (oracle_head_diversity, oracle_multi_head_attention,
+                     oracle_row_softmax)
 
 
 def t(arr, **kw):
@@ -211,6 +212,98 @@ def test_row_softmax_rows_sum_to_one_and_grads():
     np.testing.assert_allclose(s.data.sum(axis=1), 1.0, atol=1e-12)
     w = rng.normal(size=(4, 5))
     check(lambda a: weighted(ad.row_softmax(a), w), [a])
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 6, 6), (2, 3, 11, 11), (5, 1)])
+def test_slab_softmax_matches_reduce_oracle(shape):
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=shape) * 3
+    x[..., -1] += 100.0  # exp overflows float32 unless every column is in the max
+    for dtype, rtol in ((np.float32, 1e-6), (np.float64, 1e-13)):
+        a = Tensor(x.astype(dtype), requires_grad=True)
+        ref = Tensor(x.astype(dtype), requires_grad=True)
+        g = rng.normal(size=shape).astype(dtype)
+        with Tape() as tape:
+            s = ad.row_softmax(a)
+            loss = ad.sum_all(ad.mul(s, ad.constant(g)))
+        with Tape() as o_tape:
+            o_s = oracle_row_softmax(ref)
+            o_loss = ad.sum_all(ad.mul(o_s, ad.constant(g)))
+        assert s.data.dtype == dtype and np.all(np.isfinite(s.data))
+        np.testing.assert_allclose(s.data, o_s.data, rtol=rtol, atol=0)
+        tape.backward(loss)
+        o_tape.backward(o_loss)
+        np.testing.assert_allclose(a.grad, ref.grad, rtol=rtol,
+                                   atol=rtol * np.abs(ref.grad).max())
+    z = t(rng.normal(size=shape[:-2] + (3, shape[-1])))
+    w = rng.normal(size=z.shape)
+    check(lambda z: weighted(ad.row_softmax(z), w), [z])
+
+
+def test_slab_mean_matches_numpy_mean_on_every_axis():
+    rng = np.random.default_rng(14)
+    x = rng.normal(size=(3, 4, 6, 5))
+    for axis in range(-1, 4):
+        np.testing.assert_allclose(ad.mean_axis(Tensor(x), axis).data,
+                                   x.mean(axis=axis), rtol=1e-14)
+    w = rng.normal(size=(3, 4, 5))
+    check(lambda a: weighted(ad.mean_axis(a, 2), w), [t(x)])
+
+
+def test_weighted_sum_grad_check_covers_weights_and_every_term():
+    rng = np.random.default_rng(15)
+    terms = [t(rng.normal(size=(4, 3))) for _ in range(3)]
+    w = t(rng.normal(size=3))
+    readout = rng.normal(size=(4, 3))
+    res = check(lambda w, *ts: weighted(ad.weighted_sum(list(ts), w), readout),
+                [w, *terms])
+    assert res.n_coords == 3 + 3 * 12
+    one = t(rng.normal(size=(2, 5)))
+    check(lambda w, x: weighted(ad.weighted_sum([x], w), readout[:2, :1]),
+          [t([0.7]), one])
+    with pytest.raises(ValueError, match="one weight per term"):
+        ad.weighted_sum(terms, t([1.0, 2.0]))
+
+
+def test_weighted_sum_is_bit_identical_to_its_mul_add_chain():
+    # the forward runs the chain's products in the chain's order, and the
+    # gradients reduce as the chain's VJPs do
+    rng = np.random.default_rng(16)
+    data = [rng.normal(size=(7, 5)).astype(np.float32) for _ in range(4)]
+    wdata = rng.random(4).astype(np.float32)
+    readout = ad.constant(rng.normal(size=(7, 5)).astype(np.float32))
+
+    def run(fused: bool):
+        terms = [Tensor(d.copy(), requires_grad=True) for d in data]
+        w = Tensor(wdata.copy(), requires_grad=True)
+        with Tape() as tape:
+            if fused:
+                out = ad.weighted_sum(terms, w)
+            else:
+                out = None
+                for j, x in enumerate(terms):
+                    term = ad.mul(x, ad.index1d(w, j))
+                    out = term if out is None else ad.add(out, term)
+            loss = ad.sum_all(ad.mul(out, readout))
+        tape.backward(loss)
+        return out.data, [x.grad for x in terms] + [w.grad], len(tape.records)
+
+    out, grads, records = run(True)
+    ref_out, ref_grads, ref_records = run(False)
+    np.testing.assert_array_equal(out, ref_out)
+    for got, want in zip(grads, ref_grads):
+        np.testing.assert_array_equal(got, want)
+    assert records == ref_records - 3 * len(data) + 2
+
+
+def test_weighted_sum_with_frozen_weights_tracks_terms_only():
+    x = t(np.arange(6.0).reshape(2, 3))
+    w = Tensor(np.array([2.0]), requires_grad=False)
+    with Tape() as tape:
+        loss = ad.sum_all(ad.weighted_sum([x], w))
+    tape.backward(loss)
+    np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0))
+    assert w.grad is None
 
 
 def test_row_softmax_extreme_logits_stable():

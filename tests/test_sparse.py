@@ -33,6 +33,21 @@ def test_from_coo_sums_duplicates_and_sorts():
     m.validate()
 
 
+def test_indices_are_int32_where_they_fit_and_coords_int64():
+    from ahgnn.sparse import _index_dtype
+    m = SparseMatrix.from_coo(3, 4, [0, 2, 2], [3, 0, 1], [1.0, 2.0, 3.0])
+    for mat in (m, m.transpose(), spspmm(m, m.transpose()),
+                SparseMatrix.identity(3), SparseMatrix.empty(2, 5)):
+        assert mat.row_offsets.dtype == mat.col_indices.dtype == np.int32
+        r, c = mat.coords()
+        assert r.dtype == c.dtype == np.int64
+    r, c = m.coords()
+    np.testing.assert_array_equal(r * m.cols + c, [3, 8, 9])
+    assert _index_dtype(2 ** 31 - 1, 3, 0) is np.int32
+    assert _index_dtype(3, 2 ** 31, 0) is np.int64
+    assert _index_dtype(3, 3, 2 ** 31) is np.int64
+
+
 def test_from_coo_drops_cancelled_zeros():
     m = SparseMatrix.from_coo(1, 2, [0, 0], [1, 1], [2.0, -2.0])
     assert m.nnz == 0
