@@ -1,18 +1,19 @@
 """Precomputed multi-hop feature and label propagation.
 
 All graph smoothing happens once, before any training.  Hop l of a
-meta-path P is the degree-normalized walk product of its prefix P[:l+1]
-applied to the prefix's end type, and that prefix is itself an
-enumerated path, so the cache stores one message per path: for every
-path of 0..l1 steps from the target type, Â_P times the raw features of
-P's last type (the zero-step path holds the target features); for every
-path of 1..l2 steps back to the target type, Â_P times the one-hot train
-labels.  A path's hop list (`feature_entries`, `label_entries`) is its
-prefixes' messages; a label path's hops are its prefixes that end at the
-target.  There is no label hop 0, the identity, but that does not keep
-train labels out of the input: the diagonal of a target-to-target walk
-product counts closed walks, which carry a train node's own label into
-its label messages.
+meta-path P is the message of its prefix P[:l+1], itself an enumerated
+path, so the cache stores one message per path: for every path of 0..l1
+steps from the target type, Â_P (the degree-normalized walk matrix)
+times the raw features of P's last type (the zero-step path holds the
+target features); for every path of 1..l2 steps back to the target
+type, Â_P times the one-hot train labels.  A path's hop list
+(`feature_entries`, `label_entries`) is its prefixes' messages; a label
+path's hops are its prefixes that end at the target.  Messages are built
+right to left, M(t0-t1-...-tk) = Â_{t0t1} M(t1-...-tk), one relation
+SpMM per distinct suffix, so the cost is linear in the edge count and no
+walk product Â_P is formed.  There is no label hop 0, the identity, but
+closed walks (the diagonal of a target-to-target Â_P) still carry a
+train node's own label into its label messages.
 
 Cache file, version 2, little-endian: magic, u32 version, u64 dataset
 fingerprint, u32 l1, u32 l2, u32 count, then per message (features, then
@@ -25,6 +26,7 @@ from __future__ import annotations
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -113,7 +115,7 @@ def train_label_matrix(graph: HeteroGraph) -> np.ndarray:
 
 
 def _run_jobs(jobs, threads: int):
-    # results keyed by path so the merge order never depends on scheduling
+    # results come back in job order, so merging never depends on scheduling
     if threads <= 1:
         return [fn() for fn in jobs]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -121,19 +123,18 @@ def _run_jobs(jobs, threads: int):
         return [f.result() for f in futures]
 
 
-def _messages(graph: HeteroGraph, paths: list[MetaPath], operand,
+def _messages(graph: HeteroGraph, paths: list[MetaPath], operands: dict,
               threads: int) -> dict[str, np.ndarray]:
-    """Â_P @ operand(P) per path, one spmm each; a zero-step path copies it."""
-    products = PathProducts(graph, normalized=True)
-    for p in paths:  # warm the memo serially; products stay deterministic
-        products.matrix(p.types)
-
-    def message(p: MetaPath) -> np.ndarray:
-        x = operand(p)
-        return spmm(products.matrix(p.types), x) if p.steps else x.copy()
-
-    jobs = [lambda p=p: message(p) for p in paths]
-    return dict(zip((p.key for p in paths), _run_jobs(jobs, threads)))
+    """Â_P @ operands[P's last type] per path, one suffix length a round."""
+    steps = PathProducts(graph, normalized=True)
+    memo = {(t,): x for t, x in operands.items()}
+    for n in range(2, max((len(p.types) for p in paths), default=0) + 1):
+        suffixes = sorted({p.types[-n:] for p in paths if len(p.types) >= n})
+        jobs = [partial(spmm, steps.matrix(s[:2]), memo[s[1:]])
+                for s in suffixes]
+        memo.update(zip(suffixes, _run_jobs(jobs, threads)))
+    return {p.key: memo[p.types] if p.steps else memo[p.types].copy()
+            for p in paths}
 
 
 def propagate_features(graph: HeteroGraph, l1: int,
@@ -142,8 +143,7 @@ def propagate_features(graph: HeteroGraph, l1: int,
     if l1 < 1:
         raise ValueError("l1 must be >= 1")
     paths = enumerate_metapaths(graph.schema(), graph.target_type, l1)
-    return _messages(graph, paths, lambda p: graph.features[p.types[-1]],
-                     threads)
+    return _messages(graph, paths, graph.features, threads)
 
 
 def propagate_labels(graph: HeteroGraph, l2: int,
@@ -156,8 +156,8 @@ def propagate_labels(graph: HeteroGraph, l2: int,
     target = graph.target_type
     paths = enumerate_metapaths(graph.schema(), target, l2, end=target,
                                 include_trivial=False)
-    y = train_label_matrix(graph)
-    return _messages(graph, paths, lambda p: y, threads)
+    return _messages(graph, paths, {target: train_label_matrix(graph)},
+                     threads)
 
 
 def build_cache(graph: HeteroGraph, l1: int, l2: int,

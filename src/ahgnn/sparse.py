@@ -23,6 +23,22 @@ def _index_dtype(rows: int, cols: int, nnz: int):
         else np.int64
 
 
+def _canonical(m: sp.csr_matrix) -> "SparseMatrix":
+    """Wrap a float64 CSR temporary, canonicalising its arrays in place."""
+    m.sum_duplicates()
+    m.eliminate_zeros()
+    m.sort_indices()
+    rows, cols = int(m.shape[0]), int(m.shape[1])
+    idx = _index_dtype(rows, cols, m.nnz)
+    return SparseMatrix(
+        rows=rows,
+        cols=cols,
+        row_offsets=m.indptr.astype(idx),
+        col_indices=m.indices.astype(idx),
+        values=m.data.astype(np.float64),
+    )
+
+
 @dataclass(frozen=True)
 class SparseMatrix:
     """Canonical CSR matrix with float64 values."""
@@ -43,19 +59,8 @@ class SparseMatrix:
 
     @staticmethod
     def from_scipy(m) -> "SparseMatrix":
-        m = sp.csr_matrix(m, dtype=np.float64)
-        m.sum_duplicates()
-        m.eliminate_zeros()
-        m.sort_indices()
-        rows, cols = int(m.shape[0]), int(m.shape[1])
-        idx = _index_dtype(rows, cols, m.nnz)
-        return SparseMatrix(
-            rows=rows,
-            cols=cols,
-            row_offsets=m.indptr.astype(idx),
-            col_indices=m.indices.astype(idx),
-            values=m.data.astype(np.float64),
-        )
+        """Canonical copy of a scipy matrix; `m` itself is left unchanged."""
+        return _canonical(sp.csr_matrix(m, dtype=np.float64, copy=True))
 
     @staticmethod
     def from_coo(rows: int, cols: int, r, c, v) -> "SparseMatrix":
@@ -74,11 +79,11 @@ class SparseMatrix:
 
     @staticmethod
     def from_dense(a) -> "SparseMatrix":
-        return SparseMatrix.from_scipy(sp.csr_matrix(np.asarray(a, dtype=np.float64)))
+        return _canonical(sp.csr_matrix(np.asarray(a, dtype=np.float64)))
 
     @staticmethod
     def identity(n: int) -> "SparseMatrix":
-        return SparseMatrix.from_scipy(sp.identity(n, dtype=np.float64, format="csr"))
+        return _canonical(sp.identity(n, dtype=np.float64, format="csr"))
 
     @staticmethod
     def empty(rows: int, cols: int) -> "SparseMatrix":
@@ -101,7 +106,7 @@ class SparseMatrix:
         return self.to_scipy().toarray()
 
     def transpose(self) -> "SparseMatrix":
-        return SparseMatrix.from_scipy(self.to_scipy().T.tocsr())
+        return _canonical(self.to_scipy().T.tocsr())
 
     def row_sums(self) -> np.ndarray:
         return np.asarray(self.to_scipy().sum(axis=1)).ravel()
@@ -165,7 +170,7 @@ def spspmm(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     """Sparse @ sparse product in canonical CSR form."""
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch: ({a.rows}, {a.cols}) @ ({b.rows}, {b.cols})")
-    return SparseMatrix.from_scipy(a.to_scipy() @ b.to_scipy())
+    return _canonical(a.to_scipy() @ b.to_scipy())
 
 
 def normalize_relation(m: SparseMatrix) -> SparseMatrix:

@@ -14,7 +14,9 @@ all rows; the path embeddings that project every hop of every path, a
 shared prefix once per path through it; the version-1 cache writer,
 which stores every path's full hop list; the softmax that reduces with
 numpy axis reductions; the Adam that updates one parameter at a time;
-and the F1 that counts each class with its own masks.
+the F1 that counts each class with its own masks; and the propagation
+that forms each path's n x n walk product before multiplying it by the
+operand.
 """
 
 import struct
@@ -32,7 +34,7 @@ from ahgnn.metapath import (HomophilyReport, PathHomophily, PathProducts,
                             homophily_histogram, induced_adjacency)
 from ahgnn.model import init_model_params, model_forward
 from ahgnn.propagate import CACHE_MAGIC, label_hop_indices
-from ahgnn.sparse import SparseMatrix
+from ahgnn.sparse import SparseMatrix, spmm
 from ahgnn.synth import RewireResult, _relation_from_pairs, _with_relation
 from ahgnn.train import Adam, EpochRow, Metrics, evaluate, training_loss
 
@@ -486,6 +488,22 @@ def oracle_path_embeddings(cache, params):
         keys.append(f"{key}:label")
         embs.append(mixed(labs[key], lins, params.label_gamma[key]))
     return keys, embs
+
+
+def oracle_messages(graph: HeteroGraph, paths, operands: dict,
+                    threads: int = 1) -> dict[str, np.ndarray]:
+    """ahgnn.propagate._messages through walk products, left to right.
+
+    Forms each path's normalized walk product Â_P with sparse-sparse
+    products, then one spmm with the operand of the path's last type; a
+    zero-step path copies it.  Serial: `threads` is accepted and ignored.
+    """
+    products = PathProducts(graph, normalized=True)
+    out = {}
+    for p in paths:
+        x = operands[p.types[-1]]
+        out[p.key] = spmm(products.matrix(p.types), x) if p.steps else x.copy()
+    return out
 
 
 def write_cache_v1(cache, path) -> None:

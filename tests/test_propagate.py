@@ -3,13 +3,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ahgnn.metapath
+import ahgnn.propagate
+import ahgnn.sparse
 from ahgnn.graph import load_dataset
 from ahgnn.propagate import (CACHE_VERSION, CacheError, MessageCache,
                              build_cache, label_hop_indices, prefix_key,
                              propagate_features, propagate_labels, read_cache,
                              train_label_matrix, write_cache)
 from ahgnn.synth import ToySpec, generate_toy
-from oracles import random_typed_graph, write_cache_v1
+from oracles import oracle_messages, random_typed_graph, write_cache_v1
 
 TOY = Path(__file__).parent / "data" / "toy"
 
@@ -117,12 +120,76 @@ def test_propagate_depth_validation():
 
 
 def test_threads_do_not_change_results():
-    g = generate_toy(ToySpec(n_target=30, n_aux=15, seed=1))
-    one = propagate_features(g, 3, threads=1)
-    four = propagate_features(g, 3, threads=4)
-    assert list(one) == list(four)
-    for key in one:
-        np.testing.assert_array_equal(one[key], four[key])
+    g = generate_toy(ToySpec(n_target=30, n_aux=15, num_types=3, seed=1))
+    one = build_cache(g, 3, 4, threads=1)
+    four = build_cache(g, 3, 4, threads=4)
+    for a, b in ((one.feature_messages, four.feature_messages),
+                 (one.label_messages, four.label_messages)):
+        assert list(a) == list(b)
+        for key in a:
+            np.testing.assert_array_equal(a[key], b[key])
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and text of the error it raises."""
+    try:
+        return fn(*args)
+    except Exception as e:  # equal errors count as a match
+        return type(e), str(e)
+
+
+def test_messages_match_walk_product_oracle(monkeypatch):
+    for seed in range(60):
+        g = random_typed_graph(seed)
+        for depth in range(1, 5):
+            for fn in (propagate_features, propagate_labels):
+                got = outcome(fn, g, depth)
+                with monkeypatch.context() as m:
+                    m.setattr(ahgnn.propagate, "_messages", oracle_messages)
+                    want = outcome(fn, g, depth)
+                if isinstance(want, tuple):
+                    assert got == want, (seed, depth, fn.__name__)
+                    continue
+                assert list(got) == list(want), (seed, depth, fn.__name__)
+                for key, w in want.items():
+                    np.testing.assert_allclose(
+                        got[key], w, rtol=1e-12,
+                        atol=1e-12 * np.abs(w).max(initial=0.0),
+                        err_msg=f"seed {seed}, depth {depth}, path {key}")
+
+
+def test_build_cache_forms_no_sparse_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("build_cache formed a sparse-sparse product")
+
+    for module in (ahgnn.sparse, ahgnn.metapath, ahgnn.propagate):
+        monkeypatch.setattr(module, "spspmm", refuse, raising=False)
+    for num_types in (2, 3):
+        g = generate_toy(ToySpec(n_target=24, n_aux=8, num_types=num_types,
+                                 homophily=1.0, seed=0))
+        build_cache(g, 4, 4, threads=2)
+
+
+def spmm_calls(monkeypatch, num_types, l1, l2):
+    """spmm calls of one build_cache on a toy schema of num_types types."""
+    g = generate_toy(ToySpec(n_target=24, n_aux=8, num_types=num_types,
+                             homophily=1.0, seed=0))
+    calls = []
+    spmm = ahgnn.propagate.spmm
+    with monkeypatch.context() as m:
+        m.setattr(ahgnn.propagate, "spmm",
+                  lambda a, x: calls.append(a.shape) or spmm(a, x))
+        build_cache(g, l1, l2)
+    return len(calls)
+
+
+def test_one_spmm_per_distinct_suffix(monkeypatch):
+    # suffixes of >= 2 types, per half. Gate schema (A-B, l1=4, l2=2):
+    # features A-B, B-A, A-B-A, B-A-B, A-B-A-B, B-A-B-A, A-B-A-B-A;
+    # labels B-A, A-B-A.  Scaling schema (A-B, A-C, l1=3, l2=2): features
+    # 4 of 2 types, 6 of 3, 4 of 4; labels B-A, C-A, A-B-A, A-C-A.
+    assert spmm_calls(monkeypatch, 2, 4, 2) == 7 + 2
+    assert spmm_calls(monkeypatch, 3, 3, 2) == 14 + 4
 
 
 def test_cache_round_trip_and_determinism(tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ahgnn.sparse import SparseMatrix, normalize_relation, spmm, spspmm
 
@@ -52,6 +53,17 @@ def test_from_coo_drops_cancelled_zeros():
     m = SparseMatrix.from_coo(1, 2, [0, 0], [1, 1], [2.0, -2.0])
     assert m.nnz == 0
     m.validate()
+
+
+def test_from_scipy_leaves_its_argument_unchanged():
+    m = sp.csr_matrix((np.array([1.0, 2.0, 0.0]), np.array([2, 0, 1]),
+                       np.array([0, 3])), shape=(1, 3))
+    a = SparseMatrix.from_scipy(m)
+    np.testing.assert_array_equal(a.col_indices, [0, 2])
+    np.testing.assert_array_equal(a.values, [2.0, 1.0])
+    np.testing.assert_array_equal(m.indices, [2, 0, 1])
+    np.testing.assert_array_equal(m.data, [1.0, 2.0, 0.0])
+    assert m.nnz == 3
 
 
 def test_from_coo_rejects_out_of_range():
