@@ -42,7 +42,7 @@ def main() -> None:
           f"macro-F1 {result.test.macro_f1:.3f}")
 
     print("\nlearned per-hop weights (hop 0 = the node itself):")
-    for key, hop, value in gamma_table(result.params):
+    for key, hop, value in gamma_table(cache, result.params):
         print(f"  {key:<14} hop {hop}: {value:+.4f}")
 
     out = model_forward(cache.astype(np.float32), result.params)

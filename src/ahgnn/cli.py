@@ -113,7 +113,7 @@ def _cmd_train(args) -> int:
     result = train(g, cache, config)
     out = _outdir(args)
     write_metrics_csv(result.history, out / "metrics.csv")
-    write_gamma_csv(gamma_table(result.params), out / "gamma.csv")
+    write_gamma_csv(gamma_table(cache, result.params), out / "gamma.csv")
     final = model_forward(cache.astype(config.dtype), result.params)
     write_beta_csv(beta_table(final), out / "beta.csv")
     save_checkpoint(result.params, config.to_dict(), out / "model.ahgm")
@@ -165,7 +165,8 @@ def _cmd_synth(args) -> int:
             n_target=args.n_target, n_aux=args.n_aux, num_types=args.num_types,
             num_classes=args.num_classes, homophily=args.homophily,
             feature_dim=args.feature_dim, edges_per_node=args.edges_per_node,
-            seed=args.seed))
+            seed=args.seed, tolerance=args.tolerance,
+            max_rewire=args.max_iterations))
         save_dataset(g, out)
         print(f"wrote toy dataset to {out}")
     write_run_json(_run_config(args), out / "run.json")
@@ -206,7 +207,7 @@ def _cmd_grad_check(args) -> int:
     cache = _bc(g, 2, 2).take_rows(rows).astype(np.float64)
     rng = np.random.default_rng(args.seed)
     params = init_model_params(cache, hidden=8, heads=2, alpha=0.4, rng=rng,
-                               dtype=np.float64)
+                               dtype=np.float64, num_classes=g.num_classes)
     tensors = list(params.all_parameters().values())
 
     def loss_of(*_):

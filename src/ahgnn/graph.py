@@ -11,7 +11,9 @@ On disk a dataset is a directory with manifest.json plus TSV files:
     splits.tsv              (node_id, tag) with tag in {train, val, test}
 
 The loader materializes missing transpose relations, so an in-memory
-graph always carries both directions of every cross-type relation.
+graph always carries both directions of every cross-type relation; a
+manifest that lists both directions needs each file to be the other
+reversed.  Malformed input raises DatasetError naming the file or field.
 Floats are written with %.17g so a save/load round trip is bit-exact.
 """
 
@@ -44,7 +46,7 @@ def fnv1a64(data: bytes) -> int:
 
 
 def _check_type_name(name: str) -> None:
-    if not name or not name.isalnum():
+    if not isinstance(name, str) or not name or not name.isalnum():
         raise DatasetError(
             f"node type name {name!r} must be non-empty and alphanumeric"
         )
@@ -210,7 +212,35 @@ def _load_tsv(path: Path, ncols: int, dtype) -> np.ndarray:
                          dtype=dtype, ndmin=2, encoding="utf-8")
     except ValueError as e:
         raise DatasetError(f"{path.name}: could not parse: {e}") from None
+    if arr.shape[1] != ncols:
+        raise DatasetError(f"{path.name}: expected {ncols} tab-separated "
+                           f"columns, found {arr.shape[1]}")
     return arr
+
+
+def _manifest_field(man: dict, key: str, kind: type, what: str):
+    value = man[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise DatasetError(f"manifest.json: field {key!r} must be {what}, "
+                           f"got {value!r}")
+    return value
+
+
+def _per_type(man: dict, key: str, node_types) -> dict[str, int]:
+    """Manifest field `key` read as one integer per node type."""
+    table = _manifest_field(man, key, dict, "an object mapping each node "
+                            "type to an integer")
+    out = {}
+    for t in node_types:
+        if t not in table:
+            raise DatasetError(
+                f"manifest.json: field {key!r} has no entry for type {t!r}")
+        try:
+            out[t] = int(table[t])
+        except (TypeError, ValueError):
+            raise DatasetError(f"manifest.json: {key}[{t!r}] must be an "
+                               f"integer, got {table[t]!r}") from None
+    return out
 
 
 def save_dataset(g: HeteroGraph, path) -> None:
@@ -255,15 +285,19 @@ def load_dataset(path) -> HeteroGraph:
         man = json.loads(raw)
     except json.JSONDecodeError as e:
         raise DatasetError(f"manifest.json is not valid JSON: {e}") from None
+    if not isinstance(man, dict):
+        raise DatasetError("manifest.json must hold a JSON object")
     for key in ("node_types", "counts", "feature_dims", "relations",
                 "target_type", "num_classes"):
         if key not in man:
             raise DatasetError(f"manifest.json missing field {key!r}")
-    node_types = tuple(man["node_types"])
+    node_types = tuple(_manifest_field(man, "node_types", list,
+                                       "a list of type names"))
     for t in node_types:
         _check_type_name(t)
-    counts = {t: int(man["counts"][t]) for t in node_types}
-    fdims = {t: int(man["feature_dims"][t]) for t in node_types}
+    counts = _per_type(man, "counts", node_types)
+    fdims = _per_type(man, "feature_dims", node_types)
+    num_classes = _manifest_field(man, "num_classes", int, "an integer")
 
     features = {}
     for t in node_types:
@@ -279,7 +313,11 @@ def load_dataset(path) -> HeteroGraph:
         features[t] = x
 
     relations = {}
-    for pair in man["relations"]:
+    for pair in _manifest_field(man, "relations", list, "a list of type pairs"):
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(isinstance(t, str) for t in pair)):
+            raise DatasetError(f"manifest.json: relation entry {pair!r} must "
+                               "name two types")
         a, b = pair
         if a not in counts or b not in counts:
             raise DatasetError(f"relation ({a!r}, {b!r}) names an unknown type")
@@ -291,8 +329,14 @@ def load_dataset(path) -> HeteroGraph:
             raise DatasetError(f"{epath.name}: edge endpoint out of range")
         relations[(a, b)] = SparseMatrix.from_coo(
             counts[a], counts[b], e[:, 0], e[:, 1], np.ones(e.shape[0]))
+    for (a, b), m in relations.items():
+        if (b, a) in relations and a < b and \
+                not relations[(b, a)].allclose(m.transpose()):
+            raise DatasetError(f"edges_{b}_{a}.tsv is not the reverse of "
+                               f"edges_{a}_{b}.tsv: list one direction, or "
+                               "both with the same edges")
 
-    target = man["target_type"]
+    target = _manifest_field(man, "target_type", str, "a type name")
     if target not in counts:
         raise DatasetError(f"target type {target!r} not among node types")
     n = counts[target]
@@ -308,6 +352,9 @@ def load_dataset(path) -> HeteroGraph:
             raise DatasetError(f"{lpath.name}: node id {i} out of range")
         if seen[i]:
             raise DatasetError(f"{lpath.name}: duplicate label row for node {i}")
+        if not -1 <= y < num_classes:
+            raise DatasetError(f"{lpath.name}: labels must lie in "
+                               f"[-1, {num_classes}), node {i} has {y}")
         seen[i] = True
         labels[i] = y
 
@@ -322,7 +369,11 @@ def load_dataset(path) -> HeteroGraph:
         parts = line.split("\t")
         if len(parts) != 2:
             raise DatasetError(f"splits.tsv: malformed line {line!r}")
-        i = int(parts[0])
+        try:
+            i = int(parts[0])
+        except ValueError:
+            raise DatasetError(f"splits.tsv: node id {parts[0]!r} is not an "
+                               "integer") from None
         tag = parts[1].strip()
         if tag not in SPLIT_TAGS:
             raise DatasetError(f"splits.tsv: unknown split tag {tag!r}")
@@ -336,6 +387,6 @@ def load_dataset(path) -> HeteroGraph:
         raise DatasetError(f"splits.tsv: node {missing} has no split tag")
 
     g = HeteroGraph.create(node_types, counts, features, relations,
-                           target, labels, man["num_classes"], splits)
+                           target, labels, num_classes, splits)
     g.manifest_fp = fnv1a64(raw)
     return g

@@ -1,14 +1,13 @@
 """Adaptive hop mixing over meta-paths plus coarse-to-fine semantic fusion.
 
-Per meta-path, precomputed hop messages are projected into a shared
-hidden space and mixed with learnable hop weights gamma (initialized to
-a decaying convex profile, which is provably low-pass; see spectral).
-Hop l of a feature path is the message of its prefix, and a forward
-projects each prefix once for every path through it; label hops have a
-projection per (path, hop).  The per-path embeddings become a token
-sequence fused in two rounds of multi-head attention: a coarse round
-whose averaged attention mass yields per-token influence factors, and a
-fine round over influence-scaled tokens; a sigmoid-gated sum of the two,
+Per meta-path token, precomputed hop messages are projected into a
+shared hidden space and mixed with learnable hop weights gamma
+(initialized to a decaying convex profile, which is provably low-pass;
+see spectral).  `token_layout` alone decides what a token is made of:
+its hop messages, their projections and its gamma.  The tokens are
+fused in two rounds of multi-head attention: a coarse round whose
+averaged attention mass yields per-token influence factors, and a fine
+round over influence-scaled tokens; a sigmoid-gated sum of the two,
 mean-pooled and row-normalized, feeds a linear classifier.  Each round
 runs all heads as one batched product, and its attention maps are one
 (N, H, S, S) tensor: nodes, heads, query tokens, key tokens.  No node
@@ -22,6 +21,7 @@ import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,37 +65,57 @@ class AttentionParams:
     wo: Tensor
 
 
+class Hop(NamedTuple):
+    step: int            # the prefix's step count, the hop's row in gamma.csv
+    projection: str      # name of the projection that reads it
+    message: np.ndarray  # the cache's stored prefix message itself
+
+
+class Token(NamedTuple):
+    key: str             # path key; a label path's is suffixed ':label'
+    gamma: str           # name of the token's hop-weight vector
+    hops: tuple[Hop, ...]
+
+
+def token_layout(cache: MessageCache) -> list[Token]:
+    """The attention tokens: feature paths, then label paths, each sorted.
+
+    Hop l of a feature path is its prefix's message under that prefix's
+    projection, which every path through the prefix shares; a label
+    path's hops are its prefixes that end at the target, each under a
+    projection of its own.
+    """
+    feats, labs = cache.feature_messages, cache.label_messages
+    tokens = [Token(key, f"gamma.{key}", tuple(
+        Hop(l, f"fproj.{prefix_key(key, l)}", feats[prefix_key(key, l)])
+        for l in range(key.count("-") + 1))) for key in sorted(feats)]
+    return tokens + [Token(f"{key}:label", f"lgamma.{key}", tuple(
+        Hop(h, f"lproj.{key}.{h}", labs[prefix_key(key, h)])
+        for h in label_hop_indices(key, cache.target_type)))
+        for key in sorted(labs)]
+
+
 @dataclass
 class ModelParams:
-    hidden: int
     heads: int
-    gamma: dict[str, Tensor]
-    feature_projections: dict[str, LinearParams]
-    label_gamma: dict[str, Tensor]
-    label_projections: dict[tuple[str, int], LinearParams]
+    gamma: dict[str, Tensor]              # one hop-weight vector per token
+    projections: dict[str, LinearParams]  # one per distinct hop projection
     coarse: AttentionParams
     fine: AttentionParams
     gate: Tensor
     classifier: LinearParams
 
     def all_parameters(self) -> dict[str, Tensor]:
-        """Flat name -> Tensor map with stable, checkpointable names."""
-        out: dict[str, Tensor] = {}
-        for k in sorted(self.gamma):
-            out[f"gamma.{k}"] = self.gamma[k]
-        for k in sorted(self.feature_projections):
-            out[f"fproj.{k}.w"] = self.feature_projections[k].w
-            out[f"fproj.{k}.b"] = self.feature_projections[k].b
-        for k in sorted(self.label_gamma):
-            out[f"lgamma.{k}"] = self.label_gamma[k]
-        for k, hop in sorted(self.label_projections):
-            out[f"lproj.{k}.{hop}.w"] = self.label_projections[(k, hop)].w
-            out[f"lproj.{k}.{hop}.b"] = self.label_projections[(k, hop)].b
+        """Flat name -> Tensor map with stable, checkpointable names.
+
+        Hop weights, then projections, each in token-layout order; then
+        attention, gate and classifier.
+        """
+        out = dict(self.gamma)
+        for name, lin in self.projections.items():
+            out[f"{name}.w"], out[f"{name}.b"] = lin.w, lin.b
         for side, att in (("coarse", self.coarse), ("fine", self.fine)):
-            out[f"{side}.wq"] = att.wq
-            out[f"{side}.wk"] = att.wk
-            out[f"{side}.wv"] = att.wv
-            out[f"{side}.wo"] = att.wo
+            out.update((f"{side}.{nm}", t) for nm, t in vars(att).items())
         out["gate"] = self.gate
         out["cls.w"] = self.classifier.w
         out["cls.b"] = self.classifier.b
@@ -116,85 +136,69 @@ def _linear(rng, fan_in: int, fan_out: int, dtype, name: str) -> LinearParams:
     )
 
 
+def _attention(rng, hidden: int, dtype, side: str) -> AttentionParams:
+    return AttentionParams(*(Tensor(_glorot(rng, hidden, hidden, dtype),
+                                    requires_grad=True, name=f"{side}.{nm}")
+                             for nm in ("wq", "wk", "wv", "wo")))
+
+
 def init_model_params(cache: MessageCache, hidden: int, heads: int,
                       alpha: float, rng, dtype=np.float32,
-                      fix_gamma: bool = False) -> ModelParams:
+                      fix_gamma: bool = False,
+                      num_classes: int | None = None) -> ModelParams:
     """Fresh parameters sized to a message cache.
 
-    With fix_gamma, every hop weight is pinned at 1.0 and excluded from
-    gradient updates (the non-adaptive ablation).
+    The classifier has num_classes outputs, the graph's class count; left
+    None, it takes the label messages' width, so a cache without label
+    paths needs it.  With fix_gamma, every hop weight is pinned at 1.0
+    and excluded from gradient updates (the non-adaptive ablation).
     """
     if hidden < 1 or heads < 1 or hidden % heads != 0:
         raise ValueError(f"hidden ({hidden}) must be a positive multiple of "
                          f"heads ({heads})")
-    target = cache.target_type
-    feats = cache.feature_messages
+    if num_classes is None:
+        num_classes = cache.num_classes
 
     gamma: dict[str, Tensor] = {}
-    for key in sorted(feats):
-        steps = key.count("-")
-        init = np.ones(steps + 1) if fix_gamma else init_gamma(alpha, steps)
-        gamma[key] = Tensor(init.astype(dtype), requires_grad=not fix_gamma,
-                            name=f"gamma.{key}")
-    fproj = {p: _linear(rng, feats[p].shape[1], hidden, dtype, f"fproj.{p}")
-             for p in sorted(feats)}
+    projections: dict[str, LinearParams] = {}
+    for token in token_layout(cache):
+        n = len(token.hops)
+        init = np.ones(n) if fix_gamma else init_gamma(alpha, n - 1)
+        gamma[token.gamma] = Tensor(init.astype(dtype), name=token.gamma,
+                                    requires_grad=not fix_gamma)
+        for hop in token.hops:
+            if hop.projection not in projections:
+                projections[hop.projection] = _linear(
+                    rng, hop.message.shape[1], hidden, dtype, hop.projection)
 
-    label_gamma: dict[str, Tensor] = {}
-    lproj: dict[tuple[str, int], LinearParams] = {}
-    for key in sorted(cache.label_messages):
-        hops = label_hop_indices(key, target)
-        init = np.ones(len(hops)) if fix_gamma else init_gamma(alpha, len(hops) - 1)
-        label_gamma[key] = Tensor(init.astype(dtype),
-                                  requires_grad=not fix_gamma,
-                                  name=f"lgamma.{key}")
-        for hop in hops:
-            width = cache.label_messages[prefix_key(key, hop)].shape[1]
-            lproj[(key, hop)] = _linear(rng, width, hidden, dtype,
-                                        f"lproj.{key}.{hop}")
-
-    num_classes = cache.num_classes if cache.label_messages else \
-        next(iter(feats.values())).shape[1]
     return ModelParams(
-        hidden=hidden, heads=heads, gamma=gamma, feature_projections=fproj,
-        label_gamma=label_gamma, label_projections=lproj,
-        coarse=AttentionParams(*(Tensor(_glorot(rng, hidden, hidden, dtype),
-                                        requires_grad=True, name=f"coarse.{nm}")
-                                 for nm in ("wq", "wk", "wv", "wo"))),
-        fine=AttentionParams(*(Tensor(_glorot(rng, hidden, hidden, dtype),
-                                      requires_grad=True, name=f"fine.{nm}")
-                               for nm in ("wq", "wk", "wv", "wo"))),
+        heads=heads, gamma=gamma, projections=projections,
+        coarse=_attention(rng, hidden, dtype, "coarse"),
+        fine=_attention(rng, hidden, dtype, "fine"),
         gate=Tensor(np.zeros((), dtype=dtype), requires_grad=True, name="gate"),
         classifier=_linear(rng, hidden, num_classes, dtype, "cls"),
     )
 
 
-def _projected(x: np.ndarray, lin: LinearParams) -> Tensor:
-    return ad.add(ad.matmul(ad.constant(x), lin.w), lin.b)
-
-
 def path_embeddings(cache: MessageCache,
                     params: ModelParams) -> tuple[list[str], list[Tensor]]:
-    """Gamma-weighted sums of projected hop messages, one (N, d) per path.
+    """Gamma-weighted sums of projected hop messages, one (N, d) per token.
 
-    Each feature prefix's message is projected once and shared by every
-    path through that prefix.  Feature paths come first (sorted), then
-    label paths (sorted, keys suffixed ':label').
+    Each projection is applied once, before the first token that reads
+    it, and shared by every later token that reads it.
     """
-    target = cache.target_type
-    proj = {p: _projected(x, params.feature_projections[p])
-            for p, x in cache.feature_messages.items()}
-    keys = sorted(cache.feature_messages)
-    embs = [ad.weighted_sum([proj[prefix_key(key, l)]
-                             for l in range(key.count("-") + 1)],
-                            params.gamma[key]) for key in keys]
-    for key in sorted(cache.label_messages):
-        hops = label_hop_indices(key, target)
-        embs.append(ad.weighted_sum(
-            [_projected(cache.label_messages[prefix_key(key, hop)],
-                        params.label_projections[(key, hop)]) for hop in hops],
-            params.label_gamma[key]))
-        keys.append(f"{key}:label")
-    return keys, embs
+    layout = token_layout(cache)
+    projected: dict[str, Tensor] = {}
+    embs = []
+    for token in layout:
+        for hop in token.hops:
+            if hop.projection not in projected:
+                lin = params.projections[hop.projection]
+                projected[hop.projection] = ad.add(
+                    ad.matmul(ad.constant(hop.message), lin.w), lin.b)
+        embs.append(ad.weighted_sum([projected[h.projection] for h in token.hops],
+                                    params.gamma[token.gamma]))
+    return [token.key for token in layout], embs
 
 
 def assemble_tokens(embs: list[Tensor]) -> Tensor:
@@ -280,17 +284,11 @@ def predict_logits(cache: MessageCache, params: ModelParams,
     return np.concatenate(parts, axis=0)
 
 
-def gamma_table(params: ModelParams) -> list[tuple[str, int, float]]:
-    """(path, hop, weight) rows; label paths carry a ':label' suffix."""
-    rows = []
-    for key in sorted(params.gamma):
-        for l, v in enumerate(params.gamma[key].data):
-            rows.append((key, l, float(v)))
-    for key in sorted(params.label_gamma):
-        hops = label_hop_indices(key, key.split("-")[0])
-        for j, v in enumerate(params.label_gamma[key].data):
-            rows.append((f"{key}:label", hops[j], float(v)))
-    return rows
+def gamma_table(cache: MessageCache,
+                params: ModelParams) -> list[tuple[str, int, float]]:
+    """(token, hop, weight) rows in token order; label tokens end ':label'."""
+    return [(token.key, hop.step, float(w)) for token in token_layout(cache)
+            for hop, w in zip(token.hops, params.gamma[token.gamma].data)]
 
 
 def beta_table(output: ModelOutput) -> list[tuple[str, float]]:
@@ -366,7 +364,8 @@ def restore_model_params(arrays: dict[str, np.ndarray], cache: MessageCache,
     params = init_model_params(
         cache, hidden=int(config["hidden"]), heads=int(config["heads"]),
         alpha=float(config.get("alpha", 0.25)), rng=np.random.default_rng(0),
-        dtype=dtype, fix_gamma=bool(config.get("fix_gamma_uniform", False)))
+        dtype=dtype, fix_gamma=bool(config.get("fix_gamma_uniform", False)),
+        num_classes=np.size(arrays.get("cls.b")))  # absent: a name mismatch
     expected = params.all_parameters()
     if set(expected) != set(arrays):
         missing = sorted(set(expected) - set(arrays))[:3]

@@ -75,7 +75,7 @@ class MessageCache:
     @property
     def num_classes(self) -> int:
         if not self.label_messages:
-            raise ValueError("cache holds no label entries")
+            raise ValueError("cache holds no label paths to count classes by")
         return next(iter(self.label_messages.values())).shape[1]
 
     @property

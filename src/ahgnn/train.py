@@ -302,7 +302,8 @@ def train(graph: HeteroGraph, cache: MessageCache,
     rng = np.random.default_rng(config.seed)
     params = init_model_params(cache, config.hidden, config.heads, config.alpha,
                                rng, dtype=dtype,
-                               fix_gamma=config.fix_gamma_uniform)
+                               fix_gamma=config.fix_gamma_uniform,
+                               num_classes=graph.num_classes)
     named = params.all_parameters()
     opt = Adam(lr=config.lr, weight_decay=config.weight_decay)
     labels = graph.labels

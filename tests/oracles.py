@@ -477,16 +477,16 @@ def oracle_path_embeddings(cache, params):
     feats = cache.feature_entries
     for key in sorted(feats):
         types = key.split("-")
-        lins = [params.feature_projections["-".join(types[: l + 1])]
+        lins = [params.projections["fproj." + "-".join(types[: l + 1])]
                 for l in range(len(types))]
         keys.append(key)
-        embs.append(mixed(feats[key], lins, params.gamma[key]))
+        embs.append(mixed(feats[key], lins, params.gamma[f"gamma.{key}"]))
     labs = cache.label_entries
     for key in sorted(labs):
-        lins = [params.label_projections[(key, hop)]
+        lins = [params.projections[f"lproj.{key}.{hop}"]
                 for hop in label_hop_indices(key, target)]
         keys.append(f"{key}:label")
-        embs.append(mixed(labs[key], lins, params.label_gamma[key]))
+        embs.append(mixed(labs[key], lins, params.gamma[f"lgamma.{key}"]))
     return keys, embs
 
 

@@ -13,8 +13,10 @@ import pytest
 import ahgnn
 from ahgnn.cli import default_cache_path, dispatch
 from ahgnn.graph import load_dataset, save_dataset
-from ahgnn.model import load_checkpoint, model_forward, restore_model_params
+from ahgnn.model import (load_checkpoint, model_forward, predict_logits,
+                         restore_model_params)
 from ahgnn.propagate import build_cache
+from ahgnn.synth import ToySpec, generate_toy
 from ahgnn.train import evaluate
 from oracles import write_cache_v1
 
@@ -221,6 +223,44 @@ def test_synth_rewire_mode(toy_dir, tmp_path, capsys):
     g = load_dataset(out)
     base = load_dataset(toy_dir)
     np.testing.assert_array_equal(g.labels, base.labels)
+
+
+def test_synth_generation_honours_tolerance_and_budget(tmp_path, capsys):
+    run_ok(["synth", "--out", str(tmp_path / "cli"), "--n-target", "60",
+            "--n-aux", "20", "--homophily", "0.5", "--seed", "1",
+            "--tolerance", "0.1", "--max-iterations", "500"], capsys)
+    save_dataset(generate_toy(ToySpec(n_target=60, n_aux=20, homophily=0.5,
+                                      seed=1, tolerance=0.1, max_rewire=500)),
+                 tmp_path / "lib")
+    names = sorted(p.name for p in (tmp_path / "lib").iterdir())
+    for name in names:
+        assert (tmp_path / "cli" / name).read_bytes() == \
+            (tmp_path / "lib" / name).read_bytes(), name
+
+
+def test_classifier_width_is_the_class_count_without_label_paths(
+        tmp_path, capsys, monkeypatch):
+    # l2=1 on a two-type schema leaves no label path: the class count
+    # must come from the graph, not from a message's width (8 features)
+    monkeypatch.delenv("AHGNN_CACHE_DIR", raising=False)
+    data, out = tmp_path / "d", tmp_path / "run"
+    run_ok(["synth", "--out", str(data), "--n-target", "40", "--n-aux", "12",
+            "--num-classes", "3", "--feature-dim", "8", "--homophily", "1.0",
+            "--seed", "1"], capsys)
+    run_ok(["precompute", "--data", str(data), "--l1", "2", "--l2", "1"],
+           capsys)
+    run_ok(["train", "--data", str(data), "--out", str(out), "--l1", "2",
+            "--l2", "1", "--epochs", "5", "--hidden", "16", "--heads", "2"],
+           capsys)
+    run_ok(["eval", "--data", str(data), "--checkpoint",
+            str(out / "model.ahgm"), "--out", str(out)], capsys)
+    cache = build_cache(load_dataset(data), 2, 1)
+    assert not cache.label_messages
+    config, arrays = load_checkpoint(out / "model.ahgm")
+    assert arrays["cls.w"].shape == (16, 3)
+    params = restore_model_params(arrays, cache, config)
+    preds = predict_logits(cache.astype(np.float32), params).argmax(axis=1)
+    assert preds.min() >= 0 and preds.max() < 3
 
 
 def test_verify_spectral_and_grad_check(tmp_path, capsys):

@@ -1,8 +1,10 @@
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ahgnn.cli import dispatch
 from ahgnn.graph import (DatasetError, HeteroGraph, fnv1a64, load_dataset,
                          manifest_bytes, save_dataset)
 from ahgnn.sparse import SparseMatrix
@@ -164,6 +166,70 @@ def test_duplicate_label_row_error(tmp_path):
     (d / "labels_A.tsv").write_text("0\t0\n0\t1\n")
     with pytest.raises(DatasetError, match="duplicate label row"):
         load_dataset(d)
+
+
+def _edit_manifest(d, **fields):
+    man = json.loads((d / "manifest.json").read_text())
+    man.update(fields)
+    (d / "manifest.json").write_text(json.dumps(man))
+
+
+def _cli_error(d, capsys) -> str:
+    """stderr of `ahgnn analyze` on d, which must exit 1."""
+    code = dispatch(["analyze", "--data", str(d), "--depth", "2",
+                     "--out", str(d / "out")])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    return err
+
+
+@pytest.mark.parametrize("fields,names", [
+    (dict(counts={"A": 3}), ("manifest.json", "counts", "'B'")),
+    (dict(counts=[3, 2]), ("manifest.json", "counts")),
+    (dict(feature_dims={"A": 2, "B": "two"}), ("manifest.json", "feature_dims")),
+    (dict(relations=[["A", "B", "A"]]), ("manifest.json", "relation")),
+    (dict(num_classes="2"), ("manifest.json", "num_classes")),
+    (dict(node_types="AB"), ("manifest.json", "node_types")),
+])
+def test_malformed_manifest_error(tmp_path, capsys, fields, names):
+    d = _copy_toy(tmp_path)
+    _edit_manifest(d, **fields)
+    err = _cli_error(d, capsys)
+    for name in names:
+        assert name in err
+
+
+@pytest.mark.parametrize("name", ["labels_A.tsv", "edges_A_B.tsv"])
+def test_extra_column_error(tmp_path, capsys, name):
+    d = _copy_toy(tmp_path)
+    (d / name).write_text("0\t0\t1\n1\t0\t1\n2\t1\t1\n")
+    assert f"{name}: expected 2 tab-separated columns" in _cli_error(d, capsys)
+
+
+def test_non_integer_split_node_error(tmp_path, capsys):
+    d = _copy_toy(tmp_path)
+    (d / "splits.tsv").write_text("0\ttrain\nx\tval\n2\ttest\n")
+    assert "splits.tsv: node id 'x'" in _cli_error(d, capsys)
+
+
+def test_label_out_of_range_cli_error_names_file(tmp_path, capsys):
+    d = _copy_toy(tmp_path)
+    (d / "labels_A.tsv").write_text("0\t0\n1\t9\n2\t1\n")
+    assert "labels_A.tsv: labels must lie in [-1, 2)" in _cli_error(d, capsys)
+
+
+def test_disagreeing_reverse_relation_error(tmp_path, capsys):
+    d = _copy_toy(tmp_path)
+    _edit_manifest(d, relations=[["A", "B"], ["B", "A"]])
+    ab = load_dataset(TOY).relations[("A", "B")]
+    r, c = ab.coords()
+    (d / "edges_B_A.tsv").write_text("".join(f"{j}\t{i}\n" for i, j in zip(r, c)))
+    g = load_dataset(d)  # both directions listed and consistent
+    np.testing.assert_array_equal(g.relations[("B", "A")].to_dense(),
+                                  ab.to_dense().T)
+    (d / "edges_B_A.tsv").write_text("0\t0\n")
+    err = _cli_error(d, capsys)
+    assert "edges_B_A.tsv" in err and "edges_A_B.tsv" in err
 
 
 def test_unlabeled_nodes_default_to_minus_one(tmp_path):

@@ -10,11 +10,12 @@ from ahgnn.model import (AttentionParams, CheckpointError, beta_table,
                          init_model_params, load_checkpoint, model_forward,
                          multi_head_attention, path_embeddings,
                          assemble_tokens, predict_logits,
-                         restore_model_params, save_checkpoint)
-from ahgnn.propagate import build_cache
+                         restore_model_params, save_checkpoint, token_layout)
+from ahgnn.propagate import (MessageCache, build_cache, propagate_features,
+                             propagate_labels)
 from ahgnn.synth import ToySpec, generate_toy
 from ahgnn.train import training_loss
-from oracles import oracle_path_embeddings
+from oracles import oracle_path_embeddings, random_typed_graph
 
 
 def small_setup(dtype=np.float64, hidden=8, heads=2, l1=2, l2=2, seed=0,
@@ -78,18 +79,18 @@ def test_hidden_must_divide_heads():
 
 def test_fix_gamma_pins_ones_and_freezes():
     _, cache, params = small_setup(fix_gamma=True)
-    for tsr in list(params.gamma.values()) + list(params.label_gamma.values()):
+    for tsr in params.gamma.values():
         np.testing.assert_array_equal(tsr.data, np.ones_like(tsr.data))
         assert tsr.requires_grad is False
 
 
 def test_one_hot_gamma_selects_single_hop():
     _, cache, params = small_setup()
-    params.gamma["A-B-A"].data = np.array([0.0, 0.0, 1.0])
+    params.gamma["gamma.A-B-A"].data = np.array([0.0, 0.0, 1.0])
     keys, embs = path_embeddings(cache, params)
     i = keys.index("A-B-A")
     s = cache.feature_entries["A-B-A"][2]
-    lin = params.feature_projections["A-B-A"]
+    lin = params.projections["fproj.A-B-A"]
     np.testing.assert_allclose(embs[i].data, s @ lin.w.data + lin.b.data,
                                rtol=1e-12, atol=1e-14)
 
@@ -98,8 +99,8 @@ def test_prefix_projection_is_shared():
     _, cache, params = small_setup()
     before = {k: e.data.copy()
               for k, e in zip(*path_embeddings(cache, params))}
-    params.feature_projections["A-B"].w.data = \
-        params.feature_projections["A-B"].w.data + 1.0
+    params.projections["fproj.A-B"].w.data = \
+        params.projections["fproj.A-B"].w.data + 1.0
     after = {k: e.data.copy()
              for k, e in zip(*path_embeddings(cache, params))}
     # hop 1 of A-B and hop 1 of A-B-A both read the "A-B" projection
@@ -108,6 +109,63 @@ def test_prefix_projection_is_shared():
     # paths not passing through that prefix are untouched
     np.testing.assert_array_equal(before["A"], after["A"])
     np.testing.assert_array_equal(before["A-B-A:label"], after["A-B-A:label"])
+
+
+NON_TOKEN = ("coarse.", "fine.", "gate", "cls.")
+
+
+def _cache_of(g, l1, l2):
+    try:
+        labels = propagate_labels(g, l2)
+    except ValueError:  # no labeled train node
+        labels = {}
+    return MessageCache(l1=l1, l2=l2, fingerprint=0,
+                        feature_messages=propagate_features(g, l1),
+                        label_messages=labels)
+
+
+def test_token_layout_names_every_hop_parameter_and_stored_message():
+    self_label_paths = 0
+    for seed in range(60):
+        g = random_typed_graph(seed)
+        for l1 in (1, 2, 3):
+            for l2 in (1, 2, 3):
+                cache = _cache_of(g, l1, l2)
+                layout = token_layout(cache)
+                params = init_model_params(cache, hidden=4, heads=2,
+                                           alpha=0.3, num_classes=g.num_classes,
+                                           rng=np.random.default_rng(seed))
+                named = params.all_parameters()
+                assert {t.gamma for t in layout} | \
+                    {f"{h.projection}.{p}" for t in layout for h in t.hops
+                     for p in "wb"} == \
+                    {n for n in named if not n.startswith(NON_TOKEN)}
+                for t in layout:
+                    assert named[t.gamma].shape == (len(t.hops),)
+                    types = t.key.removesuffix(":label").split("-")
+                    store = cache.label_messages if t.key.endswith(":label") \
+                        else cache.feature_messages
+                    for h in t.hops:
+                        assert h.message is store["-".join(types[:h.step + 1])]
+                        assert named[f"{h.projection}.w"].shape == \
+                            (h.message.shape[1], 4)
+                self_label_paths += "A-A-A" in cache.label_messages
+    assert self_label_paths > 0  # the sweep covers target self-relations
+
+
+def test_token_layout_label_hops_of_a_self_relation():
+    g = next(g for g in map(random_typed_graph, range(60))
+             if ("A", "A") in g.relations
+             and np.any(g.train_mask & (g.labels >= 0)))
+    layout = {t.key: t for t in token_layout(_cache_of(g, 1, 2))}
+    aa, aaa = layout["A-A:label"], layout["A-A-A:label"]
+    assert [h.step for h in aaa.hops] == [1, 2]
+    assert [h.projection for h in aaa.hops] == ["lproj.A-A-A.1",
+                                                "lproj.A-A-A.2"]
+    assert [h.projection for h in aa.hops] == ["lproj.A-A.1"]
+    # the same stored message under two distinct projections
+    assert aaa.hops[0].message is aa.hops[0].message
+    assert layout["A-A"].hops[1].projection == "fproj.A-A"
 
 
 def _taped_loss(g, cache, params):
@@ -312,7 +370,7 @@ def test_full_model_grad_check():
 
 def test_gamma_and_beta_tables():
     _, cache, params = small_setup()
-    rows = gamma_table(params)
+    rows = gamma_table(cache, params)
     assert ("A-B-A", 0, pytest.approx(0.4)) in rows
     assert ("A-B-A:label", 2, pytest.approx(1.0)) in rows
     out = model_forward(cache, params)

@@ -471,8 +471,7 @@ def test_train_requires_labeled_splits():
 def test_fix_gamma_stays_uniform_through_training():
     g, cache = tiny_graph()
     res = train(g, cache, tiny_config(max_epochs=4, fix_gamma_uniform=True))
-    for tsr in list(res.params.gamma.values()) + \
-            list(res.params.label_gamma.values()):
+    for tsr in res.params.gamma.values():
         np.testing.assert_array_equal(tsr.data, np.ones_like(tsr.data))
 
 
