@@ -5,17 +5,17 @@ induced adjacency counts the walks between endpoint nodes, obtained by
 chaining the per-step relation matrices.  Homophily ratios compare the
 labels at the two endpoints of those induced edges.
 
-Cost of graph_homophily and build_homophily_report: the prefixes of the
-target-to-target paths come canonical and memoised from PathProducts;
-the last step of each path that is not the prefix of a longer one
-(every full-length path) is one raw scipy product of its prefix and the
-step relation, which is counted and dropped, neither sorted nor kept;
-the counts are one product of a walk product's 0/1 support with an
-(n, C+1) label indicator.  On the 1600-node scaling fixture (3 types, depth 4:
-six paths, four with 1.3-1.4 M stored entries) one report takes
-0.36-0.42 s and a process that loads the dataset and builds it three
-times peaks at about 110 MB, against 1.0-1.3 s and 213 MB when every
-path's product was canonicalised and memoised (Xeon, 1 BLAS thread).
+Cost of graph_homophily and build_homophily_report: walk supports are
+counted right to left in blocks of target columns (_path_counts), so no
+product longer than two steps is formed and memory is bounded by the
+block width.  Each distinct two-step suffix is one sparse product of two
+relations; each longer suffix's block is one relation SpMM on a dense
+block.  On the 1600-node scaling fixture (3 types, depth 4: six paths,
+four of them 53-57 % dense) one report takes 55-65 ms against 0.38-0.39 s
+when every full-length path was one raw scipy walk product, and
+`ahgnn analyze` peaks at 59 MB against 104 MB.  At 6,400 target nodes a
+depth-4 graph_homophily takes 1.0-1.2 s and the process 96 MB, against
+10.6 s and 1.14 GB (Xeon, 1 BLAS thread).
 """
 
 from __future__ import annotations
@@ -142,25 +142,20 @@ def _label_indicator(labels: np.ndarray) -> np.ndarray:
     return ind
 
 
-def _row_counts(walks, labels: np.ndarray,
-                indicator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of a scipy CSR walk product: (same-label, all) qualifying nonzeros.
+def _qualifying(hits: np.ndarray, closed: np.ndarray,
+                labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: (same-label, all) qualifying nonzeros from indicator hits.
 
-    A stored entry qualifies when its value is nonzero, it lies off the
-    diagonal and both of its ends are labeled.  Both counts come from
-    one product of the 0/1 support with `indicator` (see
-    _label_indicator), which sums 0/1 values in float64 and so is exact;
-    a labeled row's closed walk, counted there in both columns, is then
-    taken off.  Columns need not be sorted.  `walks.data` is replaced by
-    the support, so pass a scipy matrix the caller owns.
+    `hits` is a row's 0/1 support times `indicator` (see _label_indicator)
+    and `closed` its 0/1 diagonal.  A nonzero qualifies when it lies off
+    the diagonal and both of its ends are labeled, so a labeled row's
+    closed walk, counted in both columns of `hits`, is taken off.
     """
-    walks.data = (walks.data != 0).astype(np.float64)
-    hits = walks @ indicator
     labeled = labels >= 0
     # an unlabeled row reads the labeled column here and is zeroed anyway
     same = np.where(labeled, hits[np.arange(labels.shape[0]), labels], 0.0)
     total = np.where(labeled, hits[:, -1], 0.0)
-    closed = walks.diagonal() * labeled
+    closed = closed * labeled
     return same - closed, total - closed
 
 
@@ -180,7 +175,10 @@ def _square_counts(adj: SparseMatrix, labels) -> tuple[np.ndarray, np.ndarray]:
     labels = np.asarray(labels, dtype=np.int64)
     if adj.rows != labels.shape[0] or adj.cols != labels.shape[0]:
         raise ValueError("adjacency must be square over the labeled node set")
-    return _row_counts(adj.to_scipy(), labels, _label_indicator(labels))
+    walks = adj.to_scipy()   # rebinding .data below leaves adj as it was
+    walks.data = (walks.data != 0).astype(np.float64)
+    return _qualifying(walks @ _label_indicator(labels), walks.diagonal(),
+                       labels)
 
 
 def global_homophily(adj: SparseMatrix, labels: np.ndarray) -> float | None:
@@ -232,27 +230,85 @@ def _mean_ratio(ratios) -> float:
     return float(np.mean(vals))
 
 
+# Dense walk-support blocks hold this many target columns: 512 bytes of
+# float32 per block row, so a block over 1,600 rows (800 KB) stays in a
+# core's L2 cache and one over 25,600 rows takes 13 MB.
+_BLOCK_COLUMNS = 512 // np.dtype(np.float32).itemsize
+
+
+def _column_block(m: sp.csc_matrix, lo: int, hi: int) -> np.ndarray:
+    """Columns lo:hi of a canonical CSC matrix as a dense C-ordered array."""
+    start, stop = m.indptr[lo], m.indptr[hi]
+    out = np.zeros((m.shape[0], hi - lo), dtype=m.dtype)
+    cols = np.repeat(np.arange(hi - lo), np.diff(m.indptr[lo:hi + 1]))
+    out[m.indices[start:stop], cols] = m.data[start:stop]
+    return out
+
+
 def _path_counts(graph: HeteroGraph, max_len: int):
     """Yield (path, same, total) per-row counts for each target-to-target path.
 
-    A path that is also the prefix of a longer one is counted on the
-    canonical product that PathProducts memoises for the longer path
-    anyway.  Every other path's last step is one raw scipy product of
-    its memoised prefix and the step relation, counted and dropped,
-    neither sorted nor kept.  The label indicator is built once per call.
+    Walk matrices are built right to left, one block J of target columns
+    at a time, and never whole.  Each distinct two-step suffix t-u-A is
+    one sparse product of two relations, made once per call and densified
+    block by block; a longer suffix's block is one relation times the
+    block of its own suffix, M(t0-t1-...-A)[:, J] = R_t0t1 M(t1-...-A)[:, J],
+    and lives only while a longer path still extends it.  A one-step path
+    is its relation's block.  With non-negative relations the operands are
+    0/1 float32 supports, clamped to 1 after every step; if any relation
+    on a path holds a negative weight, walk values are carried in float64
+    instead, so walks that cancel still drop out.  Either way the per-block
+    counts are exact integers, summed across blocks in float64.
     """
     paths = _target_paths(graph, max_len)
-    products = PathProducts(graph, normalized=False)
     labels = np.asarray(graph.labels, dtype=np.int64)
-    indicator = _label_indicator(labels)
-    prefixes = {p.types[:k] for p in paths for k in range(2, len(p.types))}
+    n = labels.shape[0]
+    pairs = sorted({pair for p in paths for pair in zip(p.types, p.types[1:])})
+    rel = {pair: graph.relation(*pair) for pair in pairs}
+    signed = any(np.any(m.values < 0) for m in rel.values())
+    dtype = np.float64 if signed else np.float32
+    if not signed:
+        rel = {pair: replace(m, values=(m.values != 0).astype(np.float64))
+               for pair, m in rel.items()}
+    steps = {pair: m.to_scipy().astype(dtype) for pair, m in rel.items()}
+
+    def columns(m: SparseMatrix) -> sp.csc_matrix:
+        out = sp.csc_matrix(m.to_scipy(), dtype=dtype)
+        if not signed:
+            np.minimum(out.data, 1, out=out.data)
+        return out
+
+    suffixes = sorted({p.types[-k:] for p in paths
+                       for k in range(3, len(p.types) + 1)})
+    roots = {s: columns(spspmm(rel[s[:2]], rel[s[1:]]))
+             for s in suffixes if len(s) == 3}
+    roots.update((p.types, columns(rel[p.types])) for p in paths if p.steps == 1)
+    children: dict[tuple, list[tuple]] = {}
+    for s in suffixes:
+        if len(s) > 3:
+            children.setdefault(s[1:], []).append(s)
+
+    indicator = _label_indicator(labels).astype(np.float32)
+    hits = {p.types: np.zeros(indicator.shape) for p in paths}
+    closed = {p.types: np.zeros(n) for p in paths}
+
+    def visit(s: tuple, block: np.ndarray, lo: int, hi: int) -> None:
+        if s in hits:
+            support = (block != 0).astype(np.float32) if signed else block
+            hits[s] += support @ indicator[lo:hi]
+            closed[s][lo:hi] = support[np.arange(lo, hi), np.arange(hi - lo)]
+        for child in children.get(s, ()):
+            walks = steps[child[:2]] @ block
+            if not signed:
+                np.minimum(walks, 1, out=walks)
+            visit(child, walks, lo, hi)
+
+    for lo in range(0, n, _BLOCK_COLUMNS):
+        hi = min(lo + _BLOCK_COLUMNS, n)
+        for s, m in roots.items():
+            visit(s, _column_block(m, lo, hi), lo, hi)
     for p in paths:
-        if p.types in prefixes:   # memoised for a longer path anyway
-            walks = products.matrix(p.types).to_scipy()
-        else:
-            walks = (products.matrix(p.types[:-1]).to_scipy()
-                     @ graph.relation(*p.types[-2:]).to_scipy())
-        yield (p, *_row_counts(walks, labels, indicator))
+        yield (p, *_qualifying(hits[p.types], closed[p.types], labels))
 
 
 def graph_homophily(graph: HeteroGraph, max_len: int = 4) -> float:

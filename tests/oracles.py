@@ -4,9 +4,9 @@ Everything here recomputes results with plain loops over dense copies,
 deliberately avoiding the library's sparse kernels, so agreement is
 evidence rather than tautology.  The exceptions are slow paths that the
 library replaced: oracle_rewire_to_homophily, the rewirer's
-full-recompute loop, which scores every proposal with graph_homophily
-(itself checked against the walk-count oracles here) instead of the
-incremental evaluator; the homophily report that counts every path on
+full-recompute loop, which moves each proposal's edge in dense relation
+matrices and recounts every path's int64 walk counts instead of running
+the incremental evaluator; the homophily report that counts every path on
 its canonical (sorted, memoised) walk product through coords(); the
 per-head attention loop and the pairwise head-diversity loop; the
 training loop that runs every forward, the taped step included, over
@@ -30,7 +30,7 @@ import numpy as np
 import ahgnn.autodiff as ad
 from ahgnn.graph import HeteroGraph
 from ahgnn.metapath import (HomophilyReport, PathHomophily, PathProducts,
-                            _mean_ratio, _target_paths, graph_homophily,
+                            _mean_ratio, _target_paths, enumerate_metapaths,
                             homophily_histogram, induced_adjacency)
 from ahgnn.model import init_model_params, model_forward
 from ahgnn.propagate import CACHE_MAGIC, label_hop_indices
@@ -273,12 +273,74 @@ def random_typed_graph(seed: int, max_nodes: int = 30) -> HeteroGraph:
                               labels, num_classes, splits)
 
 
+def _dense_path_ratios(paths, mats: dict, labels) -> list:
+    """Per path: same-label / all qualifying nonzeros of its walk counts.
+
+    `mats` maps each step (a, b) to a dense integer matrix; walk counts
+    are chained left to right in int64, memoised per prefix.  A nonzero
+    qualifies off the diagonal with both ends labeled; None marks a path
+    with none.
+    """
+    labels = np.asarray(labels)
+    both = (labels[:, None] >= 0) & (labels[None, :] >= 0)
+    np.fill_diagonal(both, False)
+    same = both & (labels[:, None] == labels[None, :])
+    walks: dict = {}
+    ratios = []
+    for types in paths:
+        for k in range(2, len(types) + 1):
+            if types[:k] not in walks:
+                step = mats[types[k - 2:k]]
+                walks[types[:k]] = step if k == 2 else walks[types[:k - 1]] @ step
+        nz = walks[types] != 0
+        total = int(np.count_nonzero(nz & both))
+        ratios.append(int(np.count_nonzero(nz & same)) / total if total else None)
+    return ratios
+
+
+def _dense_relations(graph: HeteroGraph) -> dict:
+    mats = {}
+    for pair, m in graph.relations.items():
+        dense = m.to_dense()
+        assert np.array_equal(dense, np.round(dense)), "integer weights only"
+        mats[pair] = dense.astype(np.int64)
+    return mats
+
+
+def _dense_target_paths(graph: HeteroGraph, depth: int) -> list:
+    """Target-to-target type sequences, raising graph_homophily's errors."""
+    if depth < 2:
+        raise ValueError("max_len must be >= 2: target-to-target paths "
+                         "need at least two steps")
+    t = graph.target_type
+    paths = [p.types for p in enumerate_metapaths(graph.schema(), t, depth,
+                                                  end=t, include_trivial=False)]
+    if not paths:
+        raise ValueError("schema admits no target-to-target meta-path")
+    return paths
+
+
+def _dense_mean_ratio(paths, mats: dict, labels) -> float:
+    vals = [h for h in _dense_path_ratios(paths, mats, labels) if h is not None]
+    if not vals:
+        raise ValueError("no target-to-target meta-path induces any "
+                         "qualifying edge")
+    return float(np.mean(vals))
+
+
+def oracle_graph_homophily(graph: HeteroGraph, depth: int = 4) -> float:
+    """ahgnn.metapath.graph_homophily on dense int64 walk counts."""
+    return _dense_mean_ratio(_dense_target_paths(graph, depth),
+                             _dense_relations(graph), graph.labels)
+
+
 def oracle_rewire_to_homophily(graph: HeteroGraph, spec) -> RewireResult:
-    """The rewirer with a full graph_homophily(realize()) per proposal.
+    """The rewirer with a full dense homophily recompute per proposal.
 
     Same RNG stream and edge bookkeeping as ahgnn.synth.rewire_to_homophily,
-    but every proposal rebuilds the graph and its walk products from
-    scratch, so it is the reference the incremental evaluator must match.
+    but every proposal moves the edge in dense relation matrices and
+    recomputes every path's walk counts from scratch, so it is the
+    reference the incremental evaluator must match.
     """
     if not 0.0 <= spec.target_h <= 1.0:
         raise ValueError("target homophily must lie in [0, 1]")
@@ -299,16 +361,21 @@ def oracle_rewire_to_homophily(graph: HeteroGraph, spec) -> RewireResult:
             cnt[(int(i), int(j))] += int(v)
         edges[b] = cnt
 
-    def realize() -> HeteroGraph:
-        g = graph
-        for b in rewirable:
-            g = _with_relation(g, (t, b),
-                               _relation_from_pairs(graph.n(t), graph.n(b),
-                                                    edges[b]))
-        return g
+    mats = _dense_relations(graph)
+    for b in rewirable:
+        mats[(b, t)] = mats[(t, b)].T   # a view: moves update both
 
-    current = realize()
-    h = graph_homophily(current, spec.depth)
+    def move(b, src, dst) -> None:
+        cnt = edges[b]
+        cnt[src] -= 1
+        if cnt[src] == 0:
+            del cnt[src]
+        cnt[dst] += 1
+        mats[(t, b)][src] -= 1
+        mats[(t, b)][dst] += 1
+
+    paths = _dense_target_paths(graph, spec.depth)
+    h = _dense_mean_ratio(paths, mats, graph.labels)
     gap = abs(h - spec.target_h)
     trajectory = [h]
     accepted = 0
@@ -330,13 +397,10 @@ def oracle_rewire_to_homophily(graph: HeteroGraph, spec) -> RewireResult:
             new = (old[0], int(rng.integers(0, graph.n(b))))
         if new == old or cnt[new] > 0:
             continue
-        cnt[old] -= 1
-        if cnt[old] == 0:
-            del cnt[old]
-        cnt[new] += 1
+        move(b, old, new)
         proposals += 1
         try:
-            h_new = graph_homophily(realize(), spec.depth)
+            h_new = _dense_mean_ratio(paths, mats, graph.labels)
         except ValueError:
             h_new = None  # proposal emptied every qualifying path
         if h_new is not None and abs(h_new - spec.target_h) < gap:
@@ -344,11 +408,12 @@ def oracle_rewire_to_homophily(graph: HeteroGraph, spec) -> RewireResult:
             trajectory.append(h)
             accepted += 1
         else:
-            cnt[new] -= 1
-            if cnt[new] == 0:
-                del cnt[new]
-            cnt[old] += 1
-    return RewireResult(graph=realize(), achieved=h, target=spec.target_h,
+            move(b, new, old)
+    out = graph
+    for b in rewirable:
+        out = _with_relation(out, (t, b), _relation_from_pairs(
+            graph.n(t), graph.n(b), edges[b]))
+    return RewireResult(graph=out, achieved=h, target=spec.target_h,
                         iterations=it, accepted=accepted,
                         converged=gap <= spec.tolerance, proposals=proposals,
                         trajectory=trajectory)

@@ -362,6 +362,15 @@ def test_internal_errors_exit_two(toy_dir, capsys, monkeypatch):
     assert "internal error" in err and "boom" in err
 
 
+def checkout_env() -> dict:
+    """This process's environment with the checkout's `src` first on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
 def test_installed_entry_point_runs():
     """The `ahgnn` script declared in pyproject.toml runs from this checkout.
 
@@ -377,15 +386,27 @@ def test_installed_entry_point_runs():
     module, func = target.split(":")
     script = (f"import sys\nsys.argv[0] = 'ahgnn'\n"
               f"from {module} import {func}\nsys.exit({func}())\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(REPO_ROOT / "src")]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run([sys.executable, "-c", script, "--version"],
-                          capture_output=True, text=True, env=env,
+                          capture_output=True, text=True, env=checkout_env(),
                           cwd=REPO_ROOT, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"ahgnn {ahgnn.__version__}\n"
+
+
+@pytest.mark.parametrize("module", ["ahgnn", "ahgnn.cli"])
+def test_python_dash_m_runs_the_cli(module, tmp_path):
+    out = tmp_path / "report"
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "analyze", "--data",
+         str(REPO_ROOT / "tests" / "data" / "toy"), "--out", str(out)],
+        capture_output=True, text=True, env=checkout_env(), cwd=tmp_path,
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "homophily_report.csv").is_file()
+    bare = subprocess.run([sys.executable, "-m", module], capture_output=True,
+                          text=True, env=checkout_env(), cwd=tmp_path,
+                          timeout=60)
+    assert bare.returncode == 1, bare.stderr
 
 
 @pytest.mark.skipif(shutil.which("ahgnn") is None,

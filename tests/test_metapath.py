@@ -1,8 +1,11 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import ahgnn.metapath
 from ahgnn.graph import HeteroGraph, load_dataset
 from ahgnn.metapath import (MetaPath, PathProducts, build_homophily_report,
                             enumerate_metapaths, global_homophily,
@@ -10,9 +13,10 @@ from ahgnn.metapath import (MetaPath, PathProducts, build_homophily_report,
                             induced_adjacency, local_homophily,
                             write_homophily_csv)
 from ahgnn.sparse import SparseMatrix
+from ahgnn.synth import ToySpec, generate_toy
 from oracles import (oracle_build_homophily_report, oracle_global_homophily,
-                     oracle_local_homophily, oracle_walk_counts,
-                     random_typed_graph)
+                     oracle_graph_homophily, oracle_local_homophily,
+                     oracle_walk_counts, random_typed_graph)
 
 TOY = Path(__file__).parent / "data" / "toy"
 
@@ -317,13 +321,17 @@ def test_report_on_self_relation():
         assert_matches_oracle_report(g, depth)
 
 
+def signed_graph():
+    rel = SparseMatrix.from_dense(np.array([[1, 1], [1, -1], [1, 0]], dtype=float))
+    return HeteroGraph.create(("A", "B"), {"A": 3, "B": 2},
+                              {"A": np.zeros((3, 1)), "B": np.zeros((2, 1))},
+                              {("A", "B"): rel}, "A", [0, 0, 1], 2, [0, 0, 0])
+
+
 def test_report_skips_walks_that_cancel_under_signed_weights():
     # A1's two walks to A0 carry +1 and -1: A-B-A[0, 1] is 0, so the
     # same-label pair (A0, A1) is no edge, and A-B-A scores 0 of 4
-    rel = SparseMatrix.from_dense(np.array([[1, 1], [1, -1], [1, 0]], dtype=float))
-    g = HeteroGraph.create(("A", "B"), {"A": 3, "B": 2},
-                           {"A": np.zeros((3, 1)), "B": np.zeros((2, 1))},
-                           {("A", "B"): rel}, "A", [0, 0, 1], 2, [0, 0, 0])
+    g = signed_graph()
     dense = oracle_walk_counts(g, ("A", "B", "A"))
     assert dense[0, 1] == 0 and dense[1, 0] == 0
     rep = assert_matches_oracle_report(g, 2)
@@ -343,3 +351,93 @@ def test_homophily_skips_explicitly_stored_zeros():
     np.testing.assert_array_equal(local_homophily(adj, labels),
                                   [0.0, np.nan, np.nan])
     np.testing.assert_array_equal(adj.values, [0.0, 3.0])  # left as it was
+
+
+def with_random_signs(g: HeteroGraph, seed: int) -> HeteroGraph:
+    """g with each relation weight's sign flipped at random.
+
+    A relation and its reverse are flipped independently.
+    """
+    rng = np.random.default_rng(seed)
+    rels = {pair: replace(m, values=m.values * rng.choice([-1.0, 1.0], m.nnz))
+            for pair, m in g.relations.items()}
+    return replace(g, relations=rels)
+
+
+@pytest.fixture(scope="module")
+def three_type_toy() -> HeteroGraph:
+    return generate_toy(ToySpec(n_target=210, n_aux=40, num_types=3,
+                                num_classes=3, homophily=0.6, seed=0,
+                                tolerance=0.05))
+
+
+@pytest.mark.parametrize("width", [1, 7, 10 ** 6])
+def test_report_is_independent_of_the_block_width(monkeypatch, width,
+                                                  three_type_toy):
+    # the oracle graphs hold at most 30 nodes, one block at the default width
+    monkeypatch.setattr(ahgnn.metapath, "_BLOCK_COLUMNS", width)
+    graphs = [random_typed_graph(s) for s in range(60)]
+    graphs += [signed_graph()] + [with_random_signs(g, s)
+                                  for s, g in enumerate(graphs[:20])]
+    for g in graphs:
+        for depth in (2, 3, 4, 5):
+            assert_matches_oracle_report(g, depth)
+    assert three_type_toy.n_target >= 200
+    assert_matches_oracle_report(three_type_toy, 4)
+
+
+def test_report_forms_one_sparse_product_per_two_step_suffix(monkeypatch,
+                                                             three_type_toy):
+    products, raw = [], []
+    real_spspmm = ahgnn.metapath.spspmm
+    real_matmul = sp._compressed._cs_matrix._matmul_sparse
+
+    def counted(a, b):
+        products.append((a.to_dense() != 0, b.to_dense() != 0))
+        return real_spspmm(a, b)
+
+    def counted_raw(self, other):
+        raw.append(self.shape)
+        return real_matmul(self, other)
+
+    monkeypatch.setattr(ahgnn.metapath, "spspmm", counted)
+    monkeypatch.setattr(sp._compressed._cs_matrix, "_matmul_sparse",
+                        counted_raw)
+    graphs = [three_type_toy, load_dataset(TOY)]
+    graphs += [random_typed_graph(s) for s in range(60)]
+    for g in graphs:
+        for depth in (2, 3, 4, 5):
+            for f in (build_homophily_report, graph_homophily):
+                del products[:], raw[:]
+                try:
+                    f(g, depth)
+                except ValueError:
+                    continue
+                t = g.target_type
+                suffixes = {p.types[-3:] for p in enumerate_metapaths(
+                    g.schema(), t, depth, end=t, include_trivial=False)
+                    if p.steps >= 2}
+                # no sparse-sparse product outside spspmm, one per suffix,
+                # each of the supports of the suffix's two relations
+                assert len(products) == len(suffixes) == len(raw)
+                for a, b, c in sorted(suffixes):
+                    want = (g.relation(a, b).to_dense() != 0,
+                            g.relation(b, c).to_dense() != 0)
+                    hit = [k for k, pair in enumerate(products)
+                           if all(np.array_equal(x, y)
+                                  for x, y in zip(pair, want))]
+                    assert hit, (a, b, c)
+                    del products[hit[0]]
+
+
+def test_graph_homophily_matches_dense_recompute():
+    for g in [load_dataset(TOY)] + [random_typed_graph(s) for s in range(60)]:
+        for depth in (2, 3, 4, 5):
+            try:
+                want = oracle_graph_homophily(g, depth)
+            except ValueError as e:
+                with pytest.raises(ValueError) as got:
+                    graph_homophily(g, depth)
+                assert str(got.value) == str(e)
+                continue
+            assert graph_homophily(g, depth) == want
