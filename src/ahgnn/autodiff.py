@@ -175,7 +175,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     An N-D `a` times a 2-D `b` runs as one 2-D GEMM over the flattened
     rows of `a`, in the forward pass and in both VJPs, so the weight
-    gradient is a single product instead of one per leading index.
+    gradient is a single product instead of one per leading index.  A
+    VJP skips the product for an operand that takes no gradient, such
+    as a constant message under a projection weight.
     """
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ValueError("matmul operands must be at least 2-D")
@@ -185,20 +187,28 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
         def vjp_rows(g):
             g2 = g.reshape(-1, g.shape[-1])
-            return (g2 @ b.data.T).reshape(a.data.shape), a2.T @ g2
+            ga = gb = None
+            if a.requires_grad:
+                ga = (g2 @ b.data.T).reshape(a.data.shape)
+            if b.requires_grad:
+                gb = a2.T @ g2
+            return ga, gb
 
         return _emit((a2 @ b.data).reshape(out_shape), (a, b), vjp_rows)
 
     def vjp(g):
-        bt = np.swapaxes(b.data, -1, -2)
-        if bt.ndim > 2:
-            # a stacked product runs faster on a contiguous copy of a
-            # transposed right operand; a transposed left operand stays a
-            # view, since copying it cost more than it saved at 960 rows
-            # of 11 tokens
-            bt = np.ascontiguousarray(bt)
-        ga = _unbroadcast(g @ bt, a.data.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+        ga = gb = None
+        if a.requires_grad:
+            bt = np.swapaxes(b.data, -1, -2)
+            if bt.ndim > 2:
+                # a stacked product runs faster on a contiguous copy of a
+                # transposed right operand; a transposed left operand
+                # stays a view, since copying it cost more than it saved
+                # at 960 rows of 11 tokens
+                bt = np.ascontiguousarray(bt)
+            ga = _unbroadcast(g @ bt, a.data.shape)
+        if b.requires_grad:
+            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
         return ga, gb
 
     return _emit(a.data @ b.data, (a, b), vjp)

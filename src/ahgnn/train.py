@@ -7,9 +7,12 @@ the loss maximizes disagreement between heads).  The model is
 row-independent, so each epoch's taped forward and backward run on the
 train rows alone, and both regularizers average over those rows: no
 validation or test input reaches a gradient.  Validation micro-F1
-drives early stopping and best-parameter selection; the per-epoch
-metrics forward runs on the train and validation rows alone, and the
-closing test score forwards only the test rows.
+drives early stopping and best-parameter selection; the metrics forward
+after each step covers the validation rows only.  An epoch's train
+micro-F1 is read off the next epoch's taped logits, which the same
+post-step parameters produce, so each labeled row is forwarded once per
+epoch; only the last recorded epoch forwards the train rows once more
+after the loop, and the closing test score forwards only the test rows.
 """
 
 from __future__ import annotations
@@ -316,15 +319,21 @@ def train(graph: HeteroGraph, cache: MessageCache,
 
     # The model is row-independent, so each forward runs on the rows it
     # is read on: the taped step on the train rows (the loss reads no
-    # other), the per-epoch metrics on the train and validation rows.
+    # other), the metrics forward after the step on the validation rows.
+    # Epoch e's train micro-F1 comes from epoch e+1's taped logits, made
+    # by the same post-step parameters; only the last recorded epoch
+    # needs a train-row forward of its own, after the loop.
     train_rows = np.flatnonzero(train_mask)
     train_cache = cache.take_rows(train_rows).astype(dtype)
     train_labels = labels[train_rows]
     train_all = np.ones(train_rows.size, dtype=bool)
-    scored = np.flatnonzero(train_mask | val_mask)
-    scored_cache = cache.take_rows(scored).astype(dtype)
-    scored_labels = labels[scored]
-    scored_train, scored_val = train_mask[scored], val_mask[scored]
+    val_rows = np.flatnonzero(val_mask)
+    val_cache = cache.take_rows(val_rows).astype(dtype)
+    val_labels = labels[val_rows]
+    val_all = np.ones(val_rows.size, dtype=bool)
+
+    def train_micro(logits: np.ndarray) -> float:
+        return evaluate(logits, train_labels, train_all).micro_f1
 
     history: list[EpochRow] = []
     rejected: list[int] = []
@@ -341,6 +350,8 @@ def train(graph: HeteroGraph, cache: MessageCache,
             out = model_forward(train_cache, params)
             loss, _ = training_loss(out, train_labels, train_all,
                                     config.lambda1, config.lambda2)
+        if history:
+            history[-1].train_micro = train_micro(out.logits.data)
         loss_val = float(loss.data)
         if not np.isfinite(loss_val):
             diverged = True
@@ -348,11 +359,10 @@ def train(graph: HeteroGraph, cache: MessageCache,
         tape.backward(loss)
         if not opt.step(named):
             rejected.append(epoch)
-        logits = model_forward(scored_cache, params).logits.data
-        m = evaluate(logits, scored_labels, scored_val)
-        m_train = evaluate(logits, scored_labels, scored_train)
+        m = evaluate(model_forward(val_cache, params).logits.data,
+                     val_labels, val_all)
         history.append(EpochRow(epoch=epoch, loss=loss_val,
-                                train_micro=m_train.micro_f1,
+                                train_micro=float("nan"),
                                 val_macro=m.macro_f1, val_micro=m.micro_f1))
         if m.micro_f1 > best_val:
             best_val = m.micro_f1
@@ -364,6 +374,9 @@ def train(graph: HeteroGraph, cache: MessageCache,
             if bad_epochs > config.patience:
                 break
 
+    if not diverged:
+        history[-1].train_micro = train_micro(
+            model_forward(train_cache, params).logits.data)
     _restore(params, best)
     test_mask = graph.test_mask & (labels >= 0)
     if np.any(test_mask):

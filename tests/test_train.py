@@ -381,6 +381,103 @@ def test_history_matches_full_row_oracle(overrides):
                                [r.loss for r in ref], rtol=1e-6, atol=0)
 
 
+def _nan_loss_at(call):
+    """training_loss that turns non-finite at its `call`-th call."""
+    calls = []
+
+    def poisoned(output, labels, mask, lam1, lam2):
+        calls.append(None)
+        if len(calls) == call:
+            return ad.constant(np.array(np.nan)), {}
+        return training_loss(output, labels, mask, lam1, lam2)
+
+    return poisoned
+
+
+@pytest.mark.parametrize("exit_by,overrides", [
+    ("patience", dict(max_epochs=60, patience=2, lr=3e-2, seed=4)),
+    ("rejected", dict(max_epochs=12, lr=3e-2, seed=2)),
+    ("non_finite", dict(max_epochs=10, lr=3e-2, seed=2)),
+])
+def test_history_matches_full_row_oracle_at_every_exit(monkeypatch, exit_by,
+                                                       overrides):
+    # train() reads epoch e's train micro-F1 off epoch e+1's taped
+    # forward, or off one closing forward after the loop; the oracle
+    # forwards every row after every step.  Whichever way the loop ends,
+    # the two histories must agree.
+    import importlib
+    import oracles
+    train_module = importlib.import_module("ahgnn.train")
+    g = generate_toy(ToySpec(n_target=40, n_aux=12, num_classes=3,
+                             homophily=0.6, feature_dim=4, train_frac=0.3,
+                             val_frac=0.3, seed=3))
+    cache = build_cache(g, 2, 2)
+    cfg = tiny_config(**overrides)
+    if exit_by == "rejected":
+        step = Adam.step
+
+        def bouncing(self, params):
+            self.calls = getattr(self, "calls", 0) + 1
+            return self.calls not in (2, 5, 6, 12) and step(self, params)
+
+        monkeypatch.setattr(Adam, "step", bouncing)
+    elif exit_by == "non_finite":
+        monkeypatch.setattr(train_module, "training_loss", _nan_loss_at(3))
+        monkeypatch.setattr(oracles, "training_loss", _nan_loss_at(3))
+    res = train(g, cache, cfg)
+    ref = oracle_train_history(g, cache, cfg)
+
+    def columns(history):
+        return [(r.epoch, r.train_micro, r.val_macro, r.val_micro)
+                for r in history]
+
+    assert columns(res.history) == columns(ref)
+    assert not any(math.isnan(r.train_micro) for r in res.history)
+    np.testing.assert_allclose([r.loss for r in res.history],
+                               [r.loss for r in ref], rtol=1e-6, atol=0)
+    if exit_by == "patience":
+        assert len(res.history) < cfg.max_epochs and not res.diverged
+    elif exit_by == "rejected":
+        assert res.rejected_epochs == [2, 5, 6, 12]
+    else:
+        assert res.diverged and len(res.history) == 2
+
+
+def test_each_labeled_row_is_forwarded_once_per_epoch(monkeypatch):
+    # per epoch: one taped forward over the train rows and one untaped
+    # over the validation rows; after the loop, one closing train-row
+    # forward and the test-row forward.  No forward covers train and
+    # validation rows together.
+    import importlib
+    train_module = importlib.import_module("ahgnn.train")
+    g = generate_toy(ToySpec(n_target=40, n_aux=12, num_classes=3,
+                             homophily=0.6, feature_dim=4, train_frac=0.5,
+                             val_frac=0.2, seed=3))
+    cache = build_cache(g, 2, 2)
+    n_train, n_val, n_test = (int((m & (g.labels >= 0)).sum())
+                              for m in (g.train_mask, g.val_mask, g.test_mask))
+    assert len({n_train, n_val, n_test, n_train + n_val}) == 4
+    calls = []
+    forward = train_module.model_forward
+
+    def logged(c, params):
+        calls.append((c.n_target, ad._active() is not None))
+        return forward(c, params)
+
+    monkeypatch.setattr(train_module, "model_forward", logged)
+    train(g, cache, tiny_config(max_epochs=5))
+    epoch = [(n_train, True), (n_val, False)]
+    assert calls == 5 * epoch + [(n_train, False), (n_test, False)]
+
+    # a loss that turns non-finite at epoch 3 ends the loop inside that
+    # epoch's taped forward, which settles epoch 2: no closing forward
+    calls.clear()
+    monkeypatch.setattr(train_module, "training_loss", _nan_loss_at(3))
+    res = train(g, cache, tiny_config(max_epochs=5))
+    assert res.diverged and len(res.history) == 2
+    assert calls == 2 * epoch + [(n_train, True), (n_test, False)]
+
+
 def _one_step(monkeypatch, g, cache):
     """Loss and parameter gradients of a one-epoch train()'s taped step."""
     seen = {}
