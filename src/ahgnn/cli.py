@@ -75,7 +75,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_precompute(args) -> int:
     g = load_dataset(args.data)
-    cache = build_cache(g, args.l1, args.l2, threads=args.threads)
+    cache = build_cache(g, args.l1, args.l2)
     out = Path(args.out) if args.out else default_cache_path(Path(args.data))
     out.parent.mkdir(parents=True, exist_ok=True)
     write_cache(cache, out)
@@ -129,14 +129,18 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     g = load_dataset(args.data)
-    config, arrays = load_checkpoint(args.checkpoint)
+    raw, arrays = load_checkpoint(args.checkpoint)
+    try:
+        config = TrainConfig.from_dict(raw)
+    except ValueError as e:
+        raise ValueError(f"checkpoint {args.checkpoint}: {e}") from None
     ns = argparse.Namespace(cache=args.cache, data=args.data,
-                            l1=int(config["l1"]), l2=int(config["l2"]))
+                            l1=config.l1, l2=config.l2)
     cache = _load_or_build_cache(ns, g)
-    dtype = np.float32 if config.get("precision", "f32") == "f32" else np.float64
-    params = restore_model_params(arrays, cache, config, dtype=dtype)
+    params = restore_model_params(arrays, cache, config.to_dict(),
+                                  dtype=config.dtype)
     mask = g.val_mask if args.split == "val" else g.test_mask
-    m = evaluate_split(cache, params, g.labels, mask, dtype)
+    m = evaluate_split(cache, params, g.labels, mask, config.dtype)
     out = _outdir(args)
     with open(out / "eval.json", "w") as f:
         json.dump({"split": args.split, "macro_f1": m.macro_f1,
@@ -242,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--l2", type=int, default=2)
     pc.add_argument("--out", default=None,
                     help="cache file (default: AHGNN_CACHE_DIR or the data dir)")
-    pc.add_argument("--threads", type=int, default=1)
+    pc.add_argument("--threads", type=int, default=1,
+                    help="has no effect: the cache is built serially")
     pc.set_defaults(handler=_cmd_precompute)
 
     tr = sub.add_parser("train", help="train and write metrics/checkpoint")

@@ -19,9 +19,10 @@ Floats are written with %.17g so a save/load round trip is bit-exact.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,15 +35,6 @@ SPLIT_TAGS = ("train", "val", "test")
 
 class DatasetError(ValueError):
     """Raised for malformed dataset directories or inconsistent graphs."""
-
-
-def fnv1a64(data: bytes) -> int:
-    """64-bit FNV-1a hash, used to fingerprint manifest bytes."""
-    h = 0xCBF29CE484222325
-    for b in data:
-        h ^= b
-        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return h
 
 
 def _check_type_name(name: str) -> None:
@@ -76,7 +68,6 @@ class HeteroGraph:
     labels: np.ndarray
     num_classes: int
     splits: np.ndarray
-    manifest_fp: int | None = field(default=None, repr=False)
 
     @staticmethod
     def create(node_types, counts, features, relations, target_type,
@@ -131,6 +122,10 @@ class HeteroGraph:
                 )
             if a != b and (b, a) not in self.relations:
                 raise DatasetError(f"relation ({b!r}, {a!r}) missing its transpose")
+            # walk counting and normalization read weights as multiplicities
+            if not np.all(np.isfinite(m.values) & (m.values >= 0)):
+                raise DatasetError(f"relation ({a!r}, {b!r}) holds a negative "
+                                   "or non-finite weight")
         n = self.counts[self.target_type]
         if self.labels.shape != (n,):
             raise DatasetError(f"labels must have length {n}")
@@ -180,9 +175,16 @@ class HeteroGraph:
 
     @property
     def fingerprint(self) -> int:
-        if self.manifest_fp is not None:
-            return self.manifest_fp
-        return fnv1a64(manifest_bytes(self))
+        """64-bit hash of the canonical manifest and every array, taken on
+        each access so it follows any edit; a save/load round trip keeps it."""
+        h = hashlib.blake2b(manifest_bytes(self), digest_size=8)
+        arrays = [self.features[t] for t in self.node_types]
+        for pair in sorted(self.relations):
+            m = self.relations[pair]
+            arrays += [m.row_offsets, m.col_indices, m.values]
+        for a in arrays + [self.labels, self.splits]:
+            h.update(np.ascontiguousarray(a))
+        return int.from_bytes(h.digest(), "little")
 
 
 def manifest_dict(g: HeteroGraph) -> dict:
@@ -280,9 +282,8 @@ def load_dataset(path) -> HeteroGraph:
     mpath = path / "manifest.json"
     if not mpath.is_file():
         raise DatasetError(f"manifest.json not found in {path}")
-    raw = mpath.read_bytes()
     try:
-        man = json.loads(raw)
+        man = json.loads(mpath.read_bytes())
     except json.JSONDecodeError as e:
         raise DatasetError(f"manifest.json is not valid JSON: {e}") from None
     if not isinstance(man, dict):
@@ -386,7 +387,5 @@ def load_dataset(path) -> HeteroGraph:
         missing = int(np.nonzero(splits == -1)[0][0])
         raise DatasetError(f"splits.tsv: node {missing} has no split tag")
 
-    g = HeteroGraph.create(node_types, counts, features, relations,
-                           target, labels, num_classes, splits)
-    g.manifest_fp = fnv1a64(raw)
-    return g
+    return HeteroGraph.create(node_types, counts, features, relations,
+                              target, labels, num_classes, splits)

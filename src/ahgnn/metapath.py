@@ -3,7 +3,9 @@
 A meta-path is a type sequence T1-T2-...-Tk walkable in the schema; its
 induced adjacency counts the walks between endpoint nodes, obtained by
 chaining the per-step relation matrices.  Homophily ratios compare the
-labels at the two endpoints of those induced edges.
+labels at the two endpoints of those induced edges.  Relation weights
+are non-negative multiplicities (`HeteroGraph.validate` rejects any
+other), so an induced edge exists exactly where some walk does.
 
 Cost of graph_homophily and build_homophily_report: walk supports are
 counted right to left in blocks of target columns (_path_counts), so no
@@ -254,28 +256,24 @@ def _path_counts(graph: HeteroGraph, max_len: int):
     block by block; a longer suffix's block is one relation times the
     block of its own suffix, M(t0-t1-...-A)[:, J] = R_t0t1 M(t1-...-A)[:, J],
     and lives only while a longer path still extends it.  A one-step path
-    is its relation's block.  With non-negative relations the operands are
-    0/1 float32 supports, clamped to 1 after every step; if any relation
-    on a path holds a negative weight, walk values are carried in float64
-    instead, so walks that cancel still drop out.  Either way the per-block
-    counts are exact integers, summed across blocks in float64.
+    is its relation's block.  Relation weights are non-negative
+    (`HeteroGraph.validate`), so no walks cancel and a walk matrix's
+    support is the product of its steps' supports: the operands are 0/1
+    float32 supports, clamped to 1 after every step.  The per-block counts
+    are exact integers, summed across blocks in float64.
     """
     paths = _target_paths(graph, max_len)
     labels = np.asarray(graph.labels, dtype=np.int64)
     n = labels.shape[0]
     pairs = sorted({pair for p in paths for pair in zip(p.types, p.types[1:])})
     rel = {pair: graph.relation(*pair) for pair in pairs}
-    signed = any(np.any(m.values < 0) for m in rel.values())
-    dtype = np.float64 if signed else np.float32
-    if not signed:
-        rel = {pair: replace(m, values=(m.values != 0).astype(np.float64))
-               for pair, m in rel.items()}
-    steps = {pair: m.to_scipy().astype(dtype) for pair, m in rel.items()}
+    rel = {pair: replace(m, values=(m.values != 0).astype(np.float64))
+           for pair, m in rel.items()}
+    steps = {pair: m.to_scipy().astype(np.float32) for pair, m in rel.items()}
 
     def columns(m: SparseMatrix) -> sp.csc_matrix:
-        out = sp.csc_matrix(m.to_scipy(), dtype=dtype)
-        if not signed:
-            np.minimum(out.data, 1, out=out.data)
+        out = sp.csc_matrix(m.to_scipy(), dtype=np.float32)
+        np.minimum(out.data, 1, out=out.data)
         return out
 
     suffixes = sorted({p.types[-k:] for p in paths
@@ -294,13 +292,11 @@ def _path_counts(graph: HeteroGraph, max_len: int):
 
     def visit(s: tuple, block: np.ndarray, lo: int, hi: int) -> None:
         if s in hits:
-            support = (block != 0).astype(np.float32) if signed else block
-            hits[s] += support @ indicator[lo:hi]
-            closed[s][lo:hi] = support[np.arange(lo, hi), np.arange(hi - lo)]
+            hits[s] += block @ indicator[lo:hi]
+            closed[s][lo:hi] = block[np.arange(lo, hi), np.arange(hi - lo)]
         for child in children.get(s, ()):
             walks = steps[child[:2]] @ block
-            if not signed:
-                np.minimum(walks, 1, out=walks)
+            np.minimum(walks, 1, out=walks)
             visit(child, walks, lo, hi)
 
     for lo in range(0, n, _BLOCK_COLUMNS):
@@ -327,7 +323,8 @@ class IncrementalHomophily:
     `movable` names the types b whose (target, b) relation may change; it
     must hold integer multiplicities.  Every other relation enters by its
     support only, which leaves the support of each walk product, and so
-    every homophily ratio, unchanged as long as weights are non-negative.
+    every homophily ratio, unchanged, since weights are non-negative
+    (`HeteroGraph.validate`).
 
     State: for every prefix of every target-to-target path of at most
     `max_len` steps, the dense int64 walk-count matrix (one n_target x
@@ -353,13 +350,9 @@ class IncrementalHomophily:
         self.labels = np.asarray(graph.labels, dtype=np.int64)
         self.paths = [p.types for p in _target_paths(graph, max_len)]
         moving = {(t, b) for b in movable} | {(b, t) for b in movable}
-        relations = {}
-        for pair, m in graph.relations.items():
-            if np.any(m.values < 0):
-                raise ValueError(f"relation {pair!r} holds negative weights; "
-                                 "walk supports are not tracked")
-            relations[pair] = m if pair in moving else \
-                replace(m, values=np.ones_like(m.values))
+        relations = {pair: m if pair in moving else
+                     replace(m, values=np.ones_like(m.values))
+                     for pair, m in graph.relations.items()}
         products = PathProducts(replace(graph, relations=relations),
                                 normalized=False)
         self.walks = {}   # prefix -> dense walk counts

@@ -15,18 +15,18 @@ walk product Â_P is formed.  There is no label hop 0, the identity, but
 closed walks (the diagonal of a target-to-target Â_P) still carry a
 train node's own label into its label messages.
 
-Cache file, version 2, little-endian: magic, u32 version, u64 dataset
-fingerprint, u32 l1, u32 l2, u32 count, then per message (features, then
-labels, each in key order) u8 kind (0 feature, 1 label), u32 key length,
-key, u32 rows, u32 cols, rows*cols f64.
+Cache file, version 3, little-endian: magic, u32 version, u64 dataset
+fingerprint (`HeteroGraph.fingerprint`: manifest and arrays), u32 l1,
+u32 l2, u32 count, then per message (features, then labels, each in key
+order) u8 kind (0 feature, 1 label), u32 key length, key, u32 rows,
+u32 cols, rows*cols f64.  Every message has one row per target node, and
+every label message one column per class.
 """
 
 from __future__ import annotations
 
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +36,7 @@ from .metapath import MetaPath, PathProducts, enumerate_metapaths
 from .sparse import spmm
 
 CACHE_MAGIC = b"AHGC"
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 
 class CacheError(ValueError):
@@ -114,40 +114,27 @@ def train_label_matrix(graph: HeteroGraph) -> np.ndarray:
     return y
 
 
-def _run_jobs(jobs, threads: int):
-    # results come back in job order, so merging never depends on scheduling
-    if threads <= 1:
-        return [fn() for fn in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(fn) for fn in jobs]
-        return [f.result() for f in futures]
-
-
-def _messages(graph: HeteroGraph, paths: list[MetaPath], operands: dict,
-              threads: int) -> dict[str, np.ndarray]:
-    """Â_P @ operands[P's last type] per path, one suffix length a round."""
+def _messages(graph: HeteroGraph, paths: list[MetaPath],
+              operands: dict) -> dict[str, np.ndarray]:
+    """Â_P @ operands[P's last type] per path, shortest suffixes first."""
     steps = PathProducts(graph, normalized=True)
     memo = {(t,): x for t, x in operands.items()}
     for n in range(2, max((len(p.types) for p in paths), default=0) + 1):
-        suffixes = sorted({p.types[-n:] for p in paths if len(p.types) >= n})
-        jobs = [partial(spmm, steps.matrix(s[:2]), memo[s[1:]])
-                for s in suffixes]
-        memo.update(zip(suffixes, _run_jobs(jobs, threads)))
+        for s in sorted({p.types[-n:] for p in paths if len(p.types) >= n}):
+            memo[s] = spmm(steps.matrix(s[:2]), memo[s[1:]])
     return {p.key: memo[p.types] if p.steps else memo[p.types].copy()
             for p in paths}
 
 
-def propagate_features(graph: HeteroGraph, l1: int,
-                       threads: int = 1) -> dict[str, np.ndarray]:
+def propagate_features(graph: HeteroGraph, l1: int) -> dict[str, np.ndarray]:
     """Feature message of every path of 0..l1 steps from the target."""
     if l1 < 1:
         raise ValueError("l1 must be >= 1")
     paths = enumerate_metapaths(graph.schema(), graph.target_type, l1)
-    return _messages(graph, paths, graph.features, threads)
+    return _messages(graph, paths, graph.features)
 
 
-def propagate_labels(graph: HeteroGraph, l2: int,
-                     threads: int = 1) -> dict[str, np.ndarray]:
+def propagate_labels(graph: HeteroGraph, l2: int) -> dict[str, np.ndarray]:
     """Propagated one-hot train labels of every target-returning path."""
     if l2 < 1:
         raise ValueError("l2 must be >= 1")
@@ -156,16 +143,16 @@ def propagate_labels(graph: HeteroGraph, l2: int,
     target = graph.target_type
     paths = enumerate_metapaths(graph.schema(), target, l2, end=target,
                                 include_trivial=False)
-    return _messages(graph, paths, {target: train_label_matrix(graph)},
-                     threads)
+    return _messages(graph, paths, {target: train_label_matrix(graph)})
 
 
 def build_cache(graph: HeteroGraph, l1: int, l2: int,
                 threads: int = 1) -> MessageCache:
+    """Build every message serially; `threads` is accepted and ignored."""
     return MessageCache(
         l1=l1, l2=l2, fingerprint=graph.fingerprint,
-        feature_messages=propagate_features(graph, l1, threads),
-        label_messages=propagate_labels(graph, l2, threads),
+        feature_messages=propagate_features(graph, l1),
+        label_messages=propagate_labels(graph, l2),
     )
 
 
@@ -216,8 +203,8 @@ def read_cache(path, expect_fingerprint: int | None = None,
             f"version {CACHE_VERSION}: regenerate with `ahgnn precompute`")
     if expect_fingerprint is not None and fingerprint != expect_fingerprint:
         raise CacheError(
-            "stale cache: dataset manifest changed since the cache was "
-            "written; regenerate with `ahgnn precompute`")
+            "stale cache: dataset changed since the cache was written; "
+            "regenerate with `ahgnn precompute`")
     if (expect_l1 is not None and l1 != expect_l1) or \
        (expect_l2 is not None and l2 != expect_l2):
         raise CacheError(
@@ -237,6 +224,17 @@ def read_cache(path, expect_fingerprint: int | None = None,
         raise CacheError(f"cache file {path.name} has trailing bytes")
     if not stores[0]:
         raise CacheError("cache holds no feature entries")
+
+    def agree(axis: int, what: str, entries: list) -> None:
+        (k0, m0), *rest = entries
+        for key, m in rest:
+            if m.shape[axis] != m0.shape[axis]:
+                raise CacheError(
+                    f"cache file {path.name}: message {key} has "
+                    f"{m.shape[axis]} {what}, message {k0} has {m0.shape[axis]}")
+    agree(0, "rows", [*stores[0].items(), *stores[1].items()])
+    if stores[1]:
+        agree(1, "columns", list(stores[1].items()))
     cache = MessageCache(l1=l1, l2=l2, fingerprint=fingerprint,
                          feature_messages=stores[0], label_messages=stores[1])
     try:  # every hop a path reads must be a stored prefix

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -51,8 +51,8 @@ class TrainConfig:
     fix_gamma_uniform: bool = False
 
     def validate(self) -> None:
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not 0 < self.lr < np.inf:
+            raise ValueError("lr must be positive and finite")
         if not 0 <= self.weight_decay <= MAX_WEIGHT_DECAY:
             raise ValueError(f"weight_decay must lie in [0, {MAX_WEIGHT_DECAY}]")
         if self.max_epochs < 1:
@@ -60,11 +60,12 @@ class TrainConfig:
         if self.hidden < 1 or self.heads < 1 or self.hidden % self.heads:
             raise ValueError("hidden must be a positive multiple of heads")
         if self.l1 < 1 or self.l2 < 1:
-            raise ValueError("propagation depths must be >= 1")
+            raise ValueError("propagation depths l1 and l2 must be >= 1")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly between 0 and 1")
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("regularizer weights must be non-negative")
+        if not (0 <= self.lambda1 < np.inf and 0 <= self.lambda2 < np.inf):
+            raise ValueError("lambda1 and lambda2 must be non-negative "
+                             "and finite")
         if self.patience < 0:
             raise ValueError("patience must be >= 0")
         if self.precision not in ("f32", "f64"):
@@ -79,7 +80,22 @@ class TrainConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "TrainConfig":
-        cfg = TrainConfig(**d)
+        """Exactly the fields, each of its type (an int may be a float)."""
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be an object, got {type(d).__name__}")
+        odd = sorted(set(d) ^ {f.name for f in fields(TrainConfig)})
+        if odd:
+            raise ValueError(f"config field {odd[0]!r} is "
+                             f"{'unknown' if odd[0] in d else 'missing'}")
+        values = {}
+        for f in fields(TrainConfig):
+            kind, value = type(f.default), d[f.name]
+            ok = isinstance(value, (int, float) if kind is float else kind)
+            if not ok or (kind is not bool and isinstance(value, bool)):
+                raise ValueError(f"config field {f.name!r} must be "
+                                 f"{kind.__name__}, got {value!r}")
+            values[f.name] = kind(value)
+        cfg = TrainConfig(**values)
         cfg.validate()
         return cfg
 

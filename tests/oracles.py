@@ -555,13 +555,13 @@ def oracle_path_embeddings(cache, params):
     return keys, embs
 
 
-def oracle_messages(graph: HeteroGraph, paths, operands: dict,
-                    threads: int = 1) -> dict[str, np.ndarray]:
+def oracle_messages(graph: HeteroGraph, paths,
+                    operands: dict) -> dict[str, np.ndarray]:
     """ahgnn.propagate._messages through walk products, left to right.
 
     Forms each path's normalized walk product Â_P with sparse-sparse
     products, then one spmm with the operand of the path's last type; a
-    zero-step path copies it.  Serial: `threads` is accepted and ignored.
+    zero-step path copies it.
     """
     products = PathProducts(graph, normalized=True)
     out = {}

@@ -14,8 +14,8 @@ import ahgnn
 from ahgnn.cli import default_cache_path, dispatch
 from ahgnn.graph import load_dataset, save_dataset
 from ahgnn.model import (load_checkpoint, model_forward, predict_logits,
-                         restore_model_params)
-from ahgnn.propagate import build_cache
+                         restore_model_params, save_checkpoint)
+from ahgnn.propagate import build_cache, write_cache
 from ahgnn.synth import ToySpec, generate_toy
 from ahgnn.train import evaluate
 from oracles import write_cache_v1
@@ -134,6 +134,72 @@ def test_train_rejects_stale_cache_depth(toy_dir, tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "error:" in captured.err
+
+
+def test_train_rejects_the_cache_of_a_rewired_dataset(toy_dir, tmp_path,
+                                                      capsys):
+    # rewiring moves edges and keeps the manifest byte for byte
+    cache = tmp_path / "msgs.ahgc"
+    run_ok(["precompute", "--data", str(toy_dir), "--out", str(cache)],
+           capsys)
+    rewired = tmp_path / "rewired"
+    run_ok(["synth", "--data", str(toy_dir), "--out", str(rewired),
+            "--homophily", "0.5", "--tolerance", "0.1", "--seed", "1"],
+           capsys)
+    assert (rewired / "manifest.json").read_bytes() == \
+        (toy_dir / "manifest.json").read_bytes()
+    assert (rewired / "edges_A_B.tsv").read_bytes() != \
+        (toy_dir / "edges_A_B.tsv").read_bytes()
+    code = dispatch(["train", "--data", str(rewired), "--cache", str(cache),
+                     "--out", str(tmp_path / "run"), "--epochs", "1",
+                     "--hidden", "8", "--heads", "2"])
+    assert code == 1
+    assert "stale cache: dataset changed" in capsys.readouterr().err
+
+
+def test_train_and_eval_reject_a_cache_message_a_row_short(toy_dir, tmp_path,
+                                                           capsys):
+    g = load_dataset(toy_dir)
+    out = tmp_path / "run"
+    run_ok(["train", "--data", str(toy_dir), "--out", str(out),
+            "--epochs", "1", "--hidden", "8", "--heads", "2"], capsys)
+    short = build_cache(g, 2, 2)
+    short.feature_messages["A-B"] = short.feature_messages["A-B"][:-1]
+    write_cache(short, tmp_path / "short.ahgc")
+    for argv in (["train", "--out", str(tmp_path / "run2"), "--epochs", "1",
+                  "--hidden", "8", "--heads", "2"],
+                 ["eval", "--checkpoint", str(out / "model.ahgm"),
+                  "--out", str(tmp_path / "eval")]):
+        code = dispatch(argv + ["--data", str(toy_dir),
+                                "--cache", str(tmp_path / "short.ahgc")])
+        assert code == 1, argv[0]
+        assert "short.ahgc: message A-B has 23 rows" in \
+            capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit,field", [
+    (lambda c: {k: v for k, v in c.items() if k != "l1"}, "'l1' is missing"),
+    (lambda c: {**c, "precision": "f16"}, "precision must be"),
+    (lambda c: {**c, "hidden": 8.0}, "'hidden' must be int"),
+    (lambda c: [c], "config must be an object"),
+], ids=["missing-l1", "f16", "float-hidden", "list"])
+def test_eval_rejects_a_malformed_checkpoint_config(toy_dir, tmp_path, capsys,
+                                                    monkeypatch, edit, field):
+    monkeypatch.delenv("AHGNN_CACHE_DIR", raising=False)
+    out = tmp_path / "run"
+    run_ok(["train", "--data", str(toy_dir), "--out", str(out),
+            "--epochs", "1", "--hidden", "8", "--heads", "2"], capsys)
+    config, arrays = load_checkpoint(out / "model.ahgm")
+    params = restore_model_params(arrays, build_cache(load_dataset(toy_dir),
+                                                      2, 2), config)
+    bad = tmp_path / "bad.ahgm"
+    save_checkpoint(params, edit(config), bad)
+    code = dispatch(["eval", "--data", str(toy_dir), "--checkpoint", str(bad),
+                     "--out", str(tmp_path / "eval")])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert f"checkpoint {bad}:" in err and field in err
+    assert not (tmp_path / "eval" / "eval.json").exists()
 
 
 def test_train_with_missing_explicit_cache_fails(toy_dir, tmp_path, capsys):

@@ -1,11 +1,12 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ahgnn.cli import dispatch
-from ahgnn.graph import (DatasetError, HeteroGraph, fnv1a64, load_dataset,
+from ahgnn.graph import (DatasetError, HeteroGraph, load_dataset,
                          manifest_bytes, save_dataset)
 from ahgnn.sparse import SparseMatrix
 
@@ -25,13 +26,6 @@ def small_graph():
         num_classes=2,
         splits=[0, 1, 2],
     )
-
-
-def test_fnv1a64_known_vectors():
-    # reference values of the 64-bit FNV-1a test suite
-    assert fnv1a64(b"") == 0xCBF29CE484222325
-    assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
-    assert fnv1a64(b"foobar") == 0x85944171F73967E8
 
 
 def test_load_toy_fixture():
@@ -57,7 +51,43 @@ def test_loader_materializes_transpose():
 
 def test_fingerprint_tracks_manifest_bytes():
     g = load_dataset(TOY)
-    assert g.fingerprint == fnv1a64((TOY / "manifest.json").read_bytes())
+    assert 0 <= g.fingerprint < 2 ** 64
+    assert g.fingerprint == load_dataset(TOY).fingerprint
+    # a third class changes the manifest and nothing else
+    wider = replace(g, num_classes=3)
+    assert manifest_bytes(wider) != manifest_bytes(g)
+    assert wider.fingerprint != g.fingerprint
+
+
+def test_fingerprint_tracks_every_array():
+    # same manifest, one number changed in each array in turn
+    g = small_graph()
+    m = g.relations[("A", "B")]
+    changed = [
+        replace(g, features={**g.features, "B": g.features["B"] + 1.0}),
+        replace(g, relations={**g.relations, ("A", "B"): replace(
+            m, values=m.values + 1.0)}),
+        replace(g, relations={**g.relations, ("A", "B"): replace(
+            m, col_indices=m.col_indices[::-1].copy())}),
+        replace(g, labels=g.labels[::-1].copy()),
+        replace(g, splits=g.splits[::-1].copy()),
+    ]
+    prints = {g.fingerprint} | {h.fingerprint for h in changed}
+    assert len(prints) == 1 + len(changed)
+    assert all(manifest_bytes(h) == manifest_bytes(g) for h in changed)
+
+
+def test_create_rejects_negative_and_nan_weights():
+    # walk counting and normalization read weights as multiplicities
+    for bad in (-1.0, np.nan):
+        with pytest.raises(DatasetError,
+                           match=r"relation \('A', 'B'\) holds a negative "
+                                 "or non-finite weight"):
+            HeteroGraph.create(
+                ("A", "B"), {"A": 2, "B": 2},
+                {"A": np.zeros((2, 1)), "B": np.zeros((2, 1))},
+                {("A", "B"): SparseMatrix.from_dense([[1.0, bad], [0, 2]])},
+                "A", [0, 1], 2, [0, 1])
 
 
 def test_round_trip_is_bit_exact(tmp_path):

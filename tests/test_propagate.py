@@ -119,17 +119,6 @@ def test_propagate_depth_validation():
         propagate_labels(g, 0)
 
 
-def test_threads_do_not_change_results():
-    g = generate_toy(ToySpec(n_target=30, n_aux=15, num_types=3, seed=1))
-    one = build_cache(g, 3, 4, threads=1)
-    four = build_cache(g, 3, 4, threads=4)
-    for a, b in ((one.feature_messages, four.feature_messages),
-                 (one.label_messages, four.label_messages)):
-        assert list(a) == list(b)
-        for key in a:
-            np.testing.assert_array_equal(a[key], b[key])
-
-
 def outcome(fn, *args):
     """fn's result, or the type and text of the error it raises."""
     try:
@@ -167,7 +156,7 @@ def test_build_cache_forms_no_sparse_product(monkeypatch):
     for num_types in (2, 3):
         g = generate_toy(ToySpec(n_target=24, n_aux=8, num_types=num_types,
                                  homophily=1.0, seed=0))
-        build_cache(g, 4, 4, threads=2)
+        build_cache(g, 4, 4)
 
 
 def spmm_calls(monkeypatch, num_types, l1, l2):
@@ -287,7 +276,7 @@ def test_one_stored_matrix_per_path():
     # the path set depends only on the schema and the depths: two types
     # (A-B) at l1=4, l2=2 is the gate fixture's, three types (a star around
     # A) at l1=3, l2=2 the scaling fixture's
-    assert CACHE_VERSION == 2
+    assert CACHE_VERSION == 3
     assert stored_counts(2, 4, 2) == (5, 1)
     assert stored_counts(3, 3, 2) == (9, 2)
 
@@ -337,4 +326,20 @@ def test_cache_missing_a_prefix_is_rejected(tmp_path):
     del cache.feature_messages["A-B"]
     write_cache(cache, tmp_path / "c.ahgc")
     with pytest.raises(CacheError, match="lacks the message of path A-B"):
+        read_cache(tmp_path / "c.ahgc")
+
+
+@pytest.mark.parametrize("kind,axis", [(0, 0), (1, 0), (1, 1)])
+def test_cache_messages_that_disagree_in_shape_are_rejected(tmp_path, kind,
+                                                            axis):
+    # every message has one row per target node and every label message
+    # one column per class; a message cut short along either is named
+    cache = build_cache(load_dataset(TOY), 2, 4)
+    store = (cache.feature_messages, cache.label_messages)[kind]
+    key = max(store)
+    store[key] = store[key][:-1] if axis == 0 else store[key][:, :-1]
+    write_cache(cache, tmp_path / "c.ahgc")
+    what = ("rows", "columns")[axis]
+    with pytest.raises(CacheError,
+                       match=rf"c\.ahgc: message {key} has \d+ {what}"):
         read_cache(tmp_path / "c.ahgc")

@@ -260,7 +260,9 @@ def test_config_round_trip_and_validation():
     bad = [dict(lr=0.0), dict(weight_decay=1e-5), dict(weight_decay=-1e-9),
            dict(max_epochs=0), dict(hidden=9, heads=2), dict(heads=0),
            dict(l1=0), dict(alpha=0.0), dict(alpha=1.0), dict(lambda1=-1.0),
-           dict(patience=-1), dict(precision="f16")]
+           dict(patience=-1), dict(precision="f16"), dict(lr=float("nan")),
+           dict(lr=float("inf")), dict(lambda1=float("nan")),
+           dict(lambda2=float("inf"))]
     for overrides in bad:
         with pytest.raises(ValueError):
             tiny_config(**overrides).validate()
