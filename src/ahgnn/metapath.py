@@ -336,11 +336,14 @@ class IncrementalHomophily:
     Moving one endpoint of a (target, b) edge changes R_tb by a rank-1
     term x y^T with two nonzeros, and R_bt by its transpose.  A prefix's
     change is then a short list of rank-1 terms, carried along the chain
-    by dP_m = P_{m-1} d_m + dP_{m-1} F'_m.  `propose` reads the new ratios
-    off the union of those terms' rectangles (support of u times support
-    of v), so a proposal costs a few vector-matrix products plus the area
-    of those rectangles instead of a chain of sparse products over the
-    whole graph; `accept` adds the terms into the stored matrices.
+    by dP_m = P_{m-1} d_m + dP_{m-1} F'_m.  `propose` reads each path's new
+    ratios off the union of its terms' rectangles (support of u times
+    support of v) in one pass: the entries as flat indices, deduplicated
+    by sort, each taking the sum of all terms, and the counts moved by the
+    entries gained minus those lost.  A proposal so costs a few
+    vector-matrix products plus a sort over the area of those rectangles
+    instead of a chain of sparse products over the whole graph; `accept`
+    adds the terms into the stored matrices.
     """
 
     def __init__(self, graph: HeteroGraph, max_len: int, movable):
@@ -400,7 +403,9 @@ class IncrementalHomophily:
             x[old[0]] = 1
             y[new[1]] += 1
             y[old[1]] -= 1
-        moved = {(t, b): (x, y), (b, t): (y, x)}
+        rx, ry = x.nonzero()[0], y.nonzero()[0]
+        # moved step -> its change z o^T, with the supports of z and o
+        moved = {(t, b): (x, y, rx, ry), (b, t): (y, x, ry, rx)}
         # prefix -> rank-1 terms (u, v, support of u, support of v)
         terms = {(t,): []}
 
@@ -412,19 +417,20 @@ class IncrementalHomophily:
                 for u, v, r, c in delta(head):
                     w = v[c] @ step[c]
                     if pair in moved:  # through the moved step F' = F + z o^T
-                        z, o = moved[pair]
-                        w += (v @ z) * o
-                    cw = np.flatnonzero(w)
+                        z, o, rz, ro = moved[pair]
+                        vz = v[rz] @ z[rz]
+                        if vz:
+                            w[ro] += vz * o[ro]
+                    cw = w.nonzero()[0]
                     if cw.size:
                         out.append((u, w, r, cw))
                 if pair in moved:  # the prefix times the moved step's change
-                    z, o = moved[pair]
+                    z, o, rz, ro = moved[pair]
                     if len(head) > 1:
-                        nz = np.flatnonzero(z)
-                        z = self.walks[head][:, nz] @ z[nz]
-                    rz = np.flatnonzero(z)
+                        z = self.walks[head][:, rz] @ z[rz]
+                        rz = z.nonzero()[0]
                     if rz.size:
-                        out.append((z, o, rz, np.flatnonzero(o)))
+                        out.append((z, o, rz, ro))
                 terms[prefix] = out
             return terms[prefix]
 
@@ -435,38 +441,38 @@ class IncrementalHomophily:
                 d_same, d_total = self._flips(self.walks[path], path_terms)
                 same, total = same + d_same, total + d_total
             counts.append((same, total))
-        self._pending = (b, x, y, terms, counts)
+        self._pending = (b, x, y, rx, ry, terms, counts)
         vals = [same / total for same, total in counts if total]
         return float(np.mean(vals)) if vals else None
 
     def _flips(self, walks: np.ndarray, terms) -> tuple[int, int]:
         """Change of (same-label, all) qualifying nonzeros under the terms.
 
-        Each entry of the union of the terms' rectangles is visited once,
-        in the first rectangle that holds it, with the sum of all terms.
+        One pass over the union of the terms' rectangles: their entries
+        as flat indices, deduplicated by sort, each taking the sum of all
+        terms; the counts move by the entries gained minus those lost.
         """
-        us = np.array([u for u, _, _, _ in terms])
-        vs = np.array([v for _, v, _, _ in terms])
-        d_same = d_total = 0
-        for k, (_, _, r, c) in enumerate(terms):
-            ur, vc = us[:, r], vs[:, c]
-            old = walks[r[:, None], c]
-            flip = (old == 0) != (old + ur.T @ vc == 0)
-            if k:
-                flip &= ~((ur[:k] != 0).T @ (vc[:k] != 0))
-            kind = self.kind[r[:, None], c][flip]
-            sign = np.where(old[flip] == 0, 1, -1)
-            d_total += int(sign[kind > 0].sum())
-            d_same += int(sign[kind == 2].sum())
-        return d_same, d_total
+        n = walks.shape[1]
+        idx = np.concatenate([(r[:, None] * n + c).ravel()
+                              for _, _, r, c in terms])
+        if len(terms) > 1:
+            idx.sort()
+            idx = idx[np.concatenate(([True], idx[1:] != idx[:-1]))]
+        rows, cols = np.divmod(idx, n)
+        old = walks.take(idx)
+        new = old + sum(u[rows] * v[cols] for u, v, _, _ in terms)
+        flip = ((old == 0) != (new == 0)).nonzero()[0]
+        sign = np.where(old[flip] == 0, 1, -1)
+        kind = self.kind.take(idx[flip])
+        return int(sign[kind == 2].sum()), int(sign[kind > 0].sum())
 
     def accept(self) -> None:
         """Apply the last proposed move to the stored matrices and counts."""
-        b, x, y, terms, counts = self._pending
+        b, x, y, r, c, terms, counts = self._pending
         for prefix, prefix_terms in terms.items():
-            for u, v, r, c in prefix_terms:
-                self.walks[prefix][r[:, None], c] += u[r][:, None] * v[c]
-        r, c = np.flatnonzero(x), np.flatnonzero(y)
+            for u, v, rows, cols in prefix_terms:
+                self.walks[prefix][rows[:, None], cols] += \
+                    u[rows][:, None] * v[cols]
         self.steps[(self.target, b)][r[:, None], c] += x[r][:, None] * y[c]
         self.counts = counts
         self._pending = None

@@ -7,16 +7,20 @@ any graph: it resamples one endpoint of one existing edge at a time and
 keeps only proposals that strictly shrink the gap to the target, so the
 trajectory of accepted moves is monotone.
 
-Cost model: the rewirer measures the start graph once with
-graph_homophily, then scores each proposal with an exact incremental
-evaluator (metapath.IncrementalHomophily) instead of rebuilding the graph
-and its walk products.  The evaluator is built at the first proposal, so
-a graph already within tolerance pays nothing for it; from then on it
-holds one dense int64 n_target x n_type walk-count matrix per meta-path
-prefix (about 150 MB at 1600 target nodes with 3 types, depth 4), and a
-proposal costs a few vector-matrix products plus the area of the rows
-and columns it touches.  The HeteroGraph is built only at the start and
-at the end of a run.
+Cost model: generate_toy first refines its attachment rate with at most
+seven wiring probes (one wiring plus one graph_homophily each) and stops
+once bisection cannot move the rate, so a below-chance target, which
+starts at the floor 1/c, pays for one probe.  The rewirer checks that the
+relations hold integer multiplicities, measures the start graph once with
+graph_homophily, and draws nothing when that is within tolerance.  Only at
+its first draw does it build its edge counters, and at the first proposal
+an exact incremental evaluator (metapath.IncrementalHomophily) that
+scores each proposal instead of rebuilding the graph and its walk
+products.  The evaluator holds one dense int64 n_target x n_type
+walk-count matrix per meta-path prefix (about 150 MB at 1600 target nodes
+with 3 types, depth 4), and a proposal costs a few vector-matrix products
+plus one sort per path over the area of the rows and columns it touches.
+The HeteroGraph is built only at the start and at the end of a run.
 """
 
 from __future__ import annotations
@@ -110,31 +114,27 @@ def rewire_to_homophily(graph: HeteroGraph, spec: RewireSpec) -> RewireResult:
     rewirable = sorted(b for (a, b) in graph.relations if a == t and b != t)
     if not rewirable:
         raise ValueError("no cross-type relation touches the target type")
-    rng = np.random.default_rng(spec.seed)
-
-    edges: dict[str, Counter] = {}
     for b in rewirable:
-        r, c = graph.relations[(t, b)].coords()
-        cnt: Counter = Counter()
-        for i, j, v in zip(r, c, graph.relations[(t, b)].values):
-            if v != int(v) or v <= 0:
-                raise ValueError(f"relation ({t!r}, {b!r}) must hold integer "
-                                 "multiplicities to be rewired")
-            cnt[(int(i), int(j))] += int(v)
-        edges[b] = cnt
+        v = graph.relations[(t, b)].values
+        if np.any((v != np.floor(v)) | (v <= 0)):
+            raise ValueError(f"relation ({t!r}, {b!r}) must hold integer "
+                             "multiplicities to be rewired")
 
-    def realize() -> HeteroGraph:
+    def realize(relation) -> HeteroGraph:
         g = graph
         for b in rewirable:
-            g = _with_relation(g, (t, b),
-                               _relation_from_pairs(graph.n(t), graph.n(b),
-                                                    edges[b]))
+            g = _with_relation(g, (t, b), relation(b))
         return g
 
-    current = realize()
+    # the start graph as the end one is built: (b, t) the transpose of (t, b)
+    current = realize(lambda b: SparseMatrix.from_coo(
+        graph.n(t), graph.n(b), *graph.relations[(t, b)].coords(),
+        graph.relations[(t, b)].values))
     h = graph_homophily(current, spec.depth)
     gap = abs(h - spec.target_h)
     trajectory = [h]
+    rng = np.random.default_rng(spec.seed)
+    edges: dict[str, Counter] = {}   # built at the first draw
     evaluator = None
     proposals = 0
     accepted = 0
@@ -142,6 +142,12 @@ def rewire_to_homophily(graph: HeteroGraph, spec: RewireSpec) -> RewireResult:
     for it in range(1, spec.max_iterations + 1):
         if gap <= spec.tolerance:
             break
+        if not edges:
+            for b in rewirable:
+                m = graph.relations[(t, b)]
+                r, c = m.coords()
+                edges[b] = Counter(dict(zip(zip(r.tolist(), c.tolist()),
+                                            m.values.astype(int).tolist())))
         b = rewirable[rng.integers(0, len(rewirable))]
         cnt = edges[b]
         if not cnt:
@@ -174,7 +180,10 @@ def rewire_to_homophily(graph: HeteroGraph, spec: RewireSpec) -> RewireResult:
             if cnt[new] == 0:
                 del cnt[new]
             cnt[old] += 1
-    return RewireResult(graph=realize(), achieved=h, target=spec.target_h,
+    if edges:
+        current = realize(lambda b: _relation_from_pairs(
+            graph.n(t), graph.n(b), edges[b]))
+    return RewireResult(graph=current, achieved=h, target=spec.target_h,
                         iterations=it, accepted=accepted,
                         converged=gap <= spec.tolerance,
                         proposals=proposals, trajectory=trajectory)
@@ -249,14 +258,16 @@ def generate_toy(spec: ToySpec) -> HeteroGraph:
 
     labels = rng.permutation(np.arange(spec.n_target) % spec.num_classes)
     hub_class = {b: np.arange(spec.n_aux) % spec.num_classes for b in aux_types}
+    own_hubs = {b: [np.nonzero(hub_class[b] == y)[0]
+                    for y in range(spec.num_classes)] for b in aux_types}
+    k = min(spec.edges_per_node, spec.n_aux)
 
     def wire(q: float, wiring_rng) -> dict:
         relations = {}
         for b in aux_types:
             rows, cols = [], []
             for i in range(spec.n_target):
-                own = np.nonzero(hub_class[b] == labels[i])[0]
-                k = min(spec.edges_per_node, spec.n_aux)
+                own = own_hubs[b][labels[i]]
                 chosen: set[int] = set()
                 attempts = 0
                 while len(chosen) < k and attempts < 50 * k:
@@ -300,6 +311,10 @@ def generate_toy(spec: ToySpec) -> HeteroGraph:
                 lo = q
             else:
                 hi = q
+            if 0.5 * (lo + hi) == q == best_q:
+                # q cannot move (a below-chance target at lo = 1/c), so
+                # the remaining probes could only re-measure best_q
+                break
             q = 0.5 * (lo + hi)
         q = best_q
     relations = wire(q, rng)

@@ -1,4 +1,5 @@
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,13 +7,14 @@ import scipy.sparse as sp
 
 import ahgnn.metapath
 from ahgnn.graph import HeteroGraph, load_dataset
-from ahgnn.metapath import (MetaPath, PathProducts, build_homophily_report,
-                            enumerate_metapaths, global_homophily,
-                            graph_homophily, homophily_histogram,
-                            induced_adjacency, local_homophily,
-                            write_homophily_csv)
+from ahgnn.metapath import (IncrementalHomophily, MetaPath, PathProducts,
+                            build_homophily_report, enumerate_metapaths,
+                            global_homophily, graph_homophily,
+                            homophily_histogram, induced_adjacency,
+                            local_homophily, write_homophily_csv)
 from ahgnn.sparse import SparseMatrix
-from ahgnn.synth import ToySpec, generate_toy
+from ahgnn.synth import (RewireSpec, ToySpec, generate_toy,
+                         rewire_to_homophily)
 from oracles import (oracle_build_homophily_report, oracle_global_homophily,
                      oracle_graph_homophily, oracle_local_homophily,
                      oracle_walk_counts, random_typed_graph)
@@ -406,3 +408,80 @@ def test_graph_homophily_matches_dense_recompute():
                 assert str(got.value) == str(e)
                 continue
             assert graph_homophily(g, depth) == want
+
+
+def pair_kinds(labels):
+    """0 unqualified, 1 qualifying, 2 qualifying and same-label, per pair."""
+    labels = np.asarray(labels)
+    both = np.outer(labels >= 0, labels >= 0)
+    np.fill_diagonal(both, False)
+    return both * (1 + (labels[:, None] == labels[None, :]))
+
+
+def dense_flip_count(walks, kind, terms):
+    """(same-label, all) qualifying nonzeros gained minus lost, by recount."""
+    new = walks + sum(np.outer(u, v) for u, v, _, _ in terms)
+    gained = (new != 0).astype(np.int64) - (walks != 0)
+    return int(gained[kind == 2].sum()), int(gained[kind > 0].sum())
+
+
+def random_terms(rng, walks):
+    """Rank-1 terms (u, v, support of u, support of v) on a walk matrix.
+
+    Supports come from the first few rows and columns, so rectangles
+    overlap; some terms cancel an earlier one, others empty a row.
+    """
+    n, m = walks.shape
+    terms = []
+    for _ in range(int(rng.integers(1, 6))):
+        roll = rng.random()
+        if terms and roll < 0.2:
+            u, v, _, _ = terms[int(rng.integers(0, len(terms)))]
+            u = -u
+        elif roll < 0.35 and walks.any():
+            i = int(rng.choice(np.flatnonzero(walks.any(axis=1))))
+            u, v = np.zeros(n, np.int64), -walks[i]
+            u[i] = 1
+        else:
+            u, v = np.zeros(n, np.int64), np.zeros(m, np.int64)
+            u[rng.integers(0, min(n, 5), size=3)] = rng.choice([-2, -1, 1, 3])
+            v[rng.integers(0, min(m, 6), size=4)] = rng.choice([-3, -1, 1, 2])
+        terms.append((u, v, u.nonzero()[0], v.nonzero()[0]))
+    return terms
+
+
+def test_flip_count_matches_dense_recount_on_random_terms():
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        n = int(rng.integers(2, 9))
+        labels = rng.integers(-1, 3, size=n)
+        walks = rng.integers(0, 4, size=(n, n)) * (rng.random((n, n)) < 0.4)
+        terms = random_terms(rng, walks)
+        evaluator = SimpleNamespace(kind=pair_kinds(labels).astype(np.int8))
+        assert IncrementalHomophily._flips(evaluator, walks, terms) \
+            == dense_flip_count(walks, pair_kinds(labels), terms)
+
+
+def test_flip_count_matches_dense_recount_through_a_self_relation(monkeypatch):
+    g = generate_toy(ToySpec(n_target=20, n_aux=8, num_classes=3,
+                             feature_dim=2, edges_per_node=2, homophily=1.0))
+    rng = np.random.default_rng(0)
+    relations = dict(g.relations)
+    relations[("A", "A")] = SparseMatrix.from_coo(
+        20, 20, rng.integers(0, 20, 30), rng.integers(0, 20, 30),
+        rng.integers(1, 3, 30))
+    g = HeteroGraph.create(g.node_types, g.counts, g.features, relations,
+                           "A", g.labels, g.num_classes, g.splits)
+    flips = IncrementalHomophily._flips
+    sizes = []
+
+    def checked(self, walks, terms):
+        got = flips(self, walks, terms)
+        assert got == dense_flip_count(walks, pair_kinds(g.labels), terms)
+        sizes.append(len(terms))
+        return got
+
+    monkeypatch.setattr(IncrementalHomophily, "_flips", checked)
+    res = rewire_to_homophily(g, RewireSpec(target_h=0.3, seed=0, depth=4,
+                                            max_iterations=300))
+    assert res.accepted > 0 and max(sizes) >= 3

@@ -130,8 +130,11 @@ def test_rewire_rejects_bad_target_and_fractional_weights():
         {("A", "B"): SparseMatrix.from_coo(4, 2, [0, 1, 2, 3], [0, 1, 0, 1],
                                            [0.5, 1.0, 1.0, 1.0])},
         "A", np.array([0, 1, 0, 1]), 2, np.array([0, 0, 1, 2]))
-    with pytest.raises(ValueError, match="integer multiplicities"):
-        rewire_to_homophily(frac, RewireSpec(target_h=0.5))
+    # the weights are checked even where the graph is already on target
+    for tolerance in (0.03, 1.0):
+        with pytest.raises(ValueError, match="integer multiplicities"):
+            rewire_to_homophily(frac, RewireSpec(target_h=0.5,
+                                                 tolerance=tolerance))
 
 
 def test_rewire_needs_a_cross_type_relation():
@@ -207,3 +210,21 @@ def test_rewire_measures_the_full_graph_only_once(monkeypatch):
     assert res.proposals > res.accepted > 0
     assert res.iterations >= res.proposals
     assert calls == [4]
+
+
+def test_below_chance_target_probes_the_wiring_once(monkeypatch):
+    # h=0.2 lies below chance on 4 classes, so the attachment rate starts
+    # at its floor 1/c; the probe lands above the target and bisection
+    # cannot move q, so further probes would only re-measure it
+    calls = []
+
+    def counted(graph, max_len=4):
+        calls.append(max_len)
+        return graph_homophily(graph, max_len)
+
+    monkeypatch.setattr(synth, "graph_homophily", counted)
+    generate_toy(ToySpec(n_target=300, n_aux=75, num_classes=4,
+                         feature_dim=8, noise=1.2, edges_per_node=4,
+                         train_frac=0.15, val_frac=0.15, tolerance=0.03,
+                         homophily=0.2, seed=0))
+    assert calls == [4, 4]   # one wiring probe, then the rewirer's start
