@@ -4,8 +4,9 @@ The propagation weights gamma define a polynomial response over the
 eigenvalues of the symmetrically normalized adjacency.  At
 initialization the profile keeps the top eigenvalue (the smooth,
 constant-ish component) at gain 1 and shrinks everything else, which is
-verified here with the in-repo Jacobi eigensolver on random connected
-graphs and on a bipartite worst case whose spectrum reaches -1.
+verified here on the spectrum of the normalization that propagation
+uses, for a random connected graph and for a bipartite worst case whose
+spectrum reaches -1.
 """
 
 import numpy as np

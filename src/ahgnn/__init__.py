@@ -10,7 +10,7 @@ Library layout:
     model       adaptive hop mixing + coarse-to-fine attention fusion
     train       Adam, diversity-regularized loss, F1, training loop
     synth       toy generator and homophily-targeted rewiring
-    spectral    Jacobi eigensolver and low-pass filter verification
+    spectral    low-pass filter verification on the normalized spectrum
     cli         the `ahgnn` command
 """
 

@@ -22,7 +22,8 @@ from .metapath import build_homophily_report, write_homophily_csv
 from .model import (gamma_table, beta_table, init_gamma, load_checkpoint,
                     model_forward, restore_model_params, save_checkpoint)
 from .propagate import build_cache, read_cache, write_cache
-from .spectral import random_connected_adjacency, verify_lowpass
+from .spectral import (MAX_DENSE_NODES, random_connected_adjacency,
+                       verify_lowpass)
 from .synth import RewireSpec, ToySpec, generate_toy, rewire_to_homophily
 from .train import (TrainConfig, evaluate_split, train, write_beta_csv,
                     write_gamma_csv, write_metrics_csv, write_run_json)
@@ -60,6 +61,9 @@ def _run_config(args) -> dict:
 
 
 def _cmd_analyze(args) -> int:
+    if args.depth < 2:
+        raise ValueError(f"--depth must be at least 2 (the shortest "
+                         f"target-to-target meta-path), got {args.depth}")
     g = load_dataset(args.data)
     report = build_homophily_report(g, max_len=args.depth)
     out = _outdir(args)
@@ -178,6 +182,11 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_verify_spectral(args) -> int:
+    if args.graphs < 1:
+        raise ValueError(f"--graphs must be at least 1, got {args.graphs}")
+    if not 2 <= args.max_nodes <= MAX_DENSE_NODES:
+        raise ValueError(f"--max-nodes must lie in [2, {MAX_DENSE_NODES}], "
+                         f"got {args.max_nodes}")
     rng = np.random.default_rng(args.seed)
     gamma = init_gamma(args.alpha, args.hops)
     failures = 0
@@ -199,6 +208,9 @@ def _cmd_verify_spectral(args) -> int:
 
 
 def _cmd_grad_check(args) -> int:
+    if args.coords_per_param < 1:
+        raise ValueError(f"--coords-per-param must be at least 1, "
+                         f"got {args.coords_per_param}")
     from .autodiff import grad_check
     from .model import init_model_params
     from .propagate import build_cache as _bc

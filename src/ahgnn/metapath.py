@@ -377,8 +377,9 @@ class IncrementalHomophily:
                                 int(np.count_nonzero(kind))))
         self.steps = {}   # (a, b) -> dense step matrix
         for b in movable:
-            self.steps[(t, b)] = relations[(t, b)].to_dense().astype(np.int64)
-            self.steps[(b, t)] = self.steps[(t, b)].T  # a view: moves update both
+            # the walks of prefix (t, b) are its step: `accept` moves both
+            self.steps[(t, b)] = self.walks[(t, b)]
+            self.steps[(b, t)] = self.steps[(t, b)].T
         for path in self.paths:
             for pair in zip(path, path[1:]):
                 if pair not in self.steps:
@@ -441,7 +442,7 @@ class IncrementalHomophily:
                 d_same, d_total = self._flips(self.walks[path], path_terms)
                 same, total = same + d_same, total + d_total
             counts.append((same, total))
-        self._pending = (b, x, y, rx, ry, terms, counts)
+        self._pending = (terms, counts)
         vals = [same / total for same, total in counts if total]
         return float(np.mean(vals)) if vals else None
 
@@ -468,12 +469,11 @@ class IncrementalHomophily:
 
     def accept(self) -> None:
         """Apply the last proposed move to the stored matrices and counts."""
-        b, x, y, r, c, terms, counts = self._pending
+        terms, counts = self._pending
         for prefix, prefix_terms in terms.items():
             for u, v, rows, cols in prefix_terms:
                 self.walks[prefix][rows[:, None], cols] += \
                     u[rows][:, None] * v[cols]
-        self.steps[(self.target, b)][r[:, None], c] += x[r][:, None] * y[c]
         self.counts = counts
         self._pending = None
 

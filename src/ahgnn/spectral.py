@@ -4,8 +4,9 @@ The symmetric degree-normalized adjacency of a connected graph has top
 eigenvalue exactly 1; a hop-weight vector gamma defines the polynomial
 response beta(lam) = sum_l gamma_l lam^l, and with the decaying-convex
 initialization every non-top eigenvalue is strictly damped.  This module
-checks both claims numerically with an in-repo cyclic Jacobi eigensolver
-(dense, intended for graphs up to a few hundred nodes).
+checks both claims numerically on the normalization that propagation
+uses (`sparse.normalize_relation`), with numpy's dense symmetric
+eigensolver (up to MAX_DENSE_NODES nodes).
 """
 
 from __future__ import annotations
@@ -14,71 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, normalize_relation
 
 MAX_DENSE_NODES = 500
 
 
-def jacobi_eigenvalues(a: np.ndarray, tol: float = 1e-12,
-                       max_sweeps: int = 100) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
+def spectrum(adj) -> np.ndarray:
+    """Descending eigenvalues of the normalized adjacency.
 
-    Returns eigenvalues sorted in descending order.  Convergence is
-    declared when the off-diagonal Frobenius mass falls below tol times
-    the total Frobenius norm.
+    The matrix is the one `sparse.normalize_relation` builds for
+    propagation, densified and handed to numpy's symmetric eigensolver.
     """
-    a = np.array(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    if not np.allclose(a, a.T, atol=1e-12):
-        raise ValueError("matrix must be symmetric")
-    n = a.shape[0]
-    if n == 0:
-        return np.zeros(0)
-    if n == 1:
-        return a.diagonal().copy()
-    # rescale extreme magnitudes so squared terms neither under- nor
-    # overflow; eigenvalues scale linearly with the matrix
-    scale = float(np.abs(a).max())
-    if scale == 0.0:
-        return np.zeros(n)
-    if scale > 1e100 or scale < 1e-100:
-        a /= scale
-    else:
-        scale = 1.0
-    total = np.linalg.norm(a)
-    for _ in range(max_sweeps):
-        off = np.linalg.norm(a - np.diag(a.diagonal()))
-        if off <= tol * total:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau == 0:
-                    t = 1.0
-                elif abs(tau) > 1e150:  # tau*tau would overflow
-                    t = 0.5 / tau
-                else:
-                    t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-    vals = a.diagonal().copy()
-    return scale * np.sort(vals)[::-1]
-
-
-def normalized_adjacency_dense(adj) -> np.ndarray:
-    """Dense symmetric normalization D^-1/2 A D^-1/2 of an adjacency."""
     if isinstance(adj, SparseMatrix):
         a = adj.to_dense()
     else:
@@ -87,28 +34,18 @@ def normalized_adjacency_dense(adj) -> np.ndarray:
         raise ValueError("adjacency must be square")
     if a.shape[0] > MAX_DENSE_NODES:
         raise ValueError(f"dense spectral path caps at {MAX_DENSE_NODES} nodes")
-    if not np.allclose(a, a.T, atol=0):
-        raise ValueError("adjacency must be symmetric")
     if np.any(a < 0) or not np.all(np.isfinite(a)):
         raise ValueError("adjacency must be non-negative and finite")
-    deg = a.sum(axis=1)
-    inv = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
-    return inv[:, None] * a * inv[None, :]
-
-
-def spectrum(adj) -> np.ndarray:
-    """Descending eigenvalues of the normalized adjacency."""
-    return jacobi_eigenvalues(normalized_adjacency_dense(adj))
+    if not np.allclose(a, a.T, atol=0):
+        raise ValueError("adjacency must be symmetric")
+    norm = normalize_relation(SparseMatrix.from_dense(a)).to_dense()
+    return np.linalg.eigvalsh(norm)[::-1]
 
 
 def filter_response(gamma: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
     """Polynomial response sum_l gamma_l lam^l at each eigenvalue."""
     gamma = np.asarray(gamma, dtype=np.float64)
-    lam = np.asarray(eigenvalues, dtype=np.float64)
-    out = np.zeros_like(lam)
-    for g in gamma[::-1]:  # Horner
-        out = out * lam + g
-    return out
+    return np.polyval(gamma[::-1], np.asarray(eigenvalues, dtype=np.float64))
 
 
 @dataclass

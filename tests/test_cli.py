@@ -1,11 +1,9 @@
 import csv
 import json
-import os
 import re
 import shutil
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,9 +16,8 @@ from ahgnn.model import (load_checkpoint, model_forward, predict_logits,
 from ahgnn.propagate import build_cache, write_cache
 from ahgnn.synth import ToySpec, generate_toy
 from ahgnn.train import evaluate
+from conftest import REPO_ROOT, checkout_env
 from oracles import write_cache_v1
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture()
@@ -409,6 +406,26 @@ def test_exit_codes_for_bad_invocations(tmp_path, capsys):
     assert "usage" in capsys.readouterr().out.lower()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["verify-spectral", "--graphs", "0"], "--graphs"),
+    (["verify-spectral", "--graphs", "-1"], "--graphs"),
+    (["verify-spectral", "--max-nodes", "1"], "--max-nodes"),
+    # seed 27 first draws a 3-node graph: without the check, a cap above
+    # the dense limit passes unnoticed until a large graph is drawn
+    (["verify-spectral", "--graphs", "1", "--max-nodes", "501",
+      "--seed", "27"], "--max-nodes"),
+    (["grad-check", "--coords-per-param", "0"], "--coords-per-param"),
+    (["analyze", "--data", str(REPO_ROOT / "tests" / "data" / "toy"),
+      "--depth", "1"], "--depth"),
+])
+def test_counts_that_make_a_check_vacuous_exit_one(argv, flag, tmp_path,
+                                                   capsys):
+    out = tmp_path / "out"
+    assert dispatch(argv + ["--out", str(out)]) == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists()  # rejected before any work started
+
+
 def test_version_flag_exits_zero(capsys):
     assert dispatch(["--version"]) == 0
     assert "ahgnn" in capsys.readouterr().out
@@ -426,15 +443,6 @@ def test_internal_errors_exit_two(toy_dir, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 2
     assert "internal error" in err and "boom" in err
-
-
-def checkout_env() -> dict:
-    """This process's environment with the checkout's `src` first on the path."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(REPO_ROOT / "src")]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return env
 
 
 def test_installed_entry_point_runs():

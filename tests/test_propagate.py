@@ -159,17 +159,15 @@ def test_build_cache_forms_no_sparse_product(monkeypatch):
         build_cache(g, 4, 4)
 
 
-def spmm_calls(monkeypatch, num_types, l1, l2):
-    """spmm calls of one build_cache on a toy schema of num_types types."""
-    g = generate_toy(ToySpec(n_target=24, n_aux=8, num_types=num_types,
-                             homophily=1.0, seed=0))
-    calls = []
+def spmm_operands(monkeypatch, g, l1, l2):
+    """Sparse operands of the spmm calls of one build_cache."""
+    operands = []
     spmm = ahgnn.propagate.spmm
     with monkeypatch.context() as m:
         m.setattr(ahgnn.propagate, "spmm",
-                  lambda a, x: calls.append(a.shape) or spmm(a, x))
+                  lambda a, x: operands.append(a) or spmm(a, x))
         build_cache(g, l1, l2)
-    return len(calls)
+    return operands
 
 
 def test_one_spmm_per_distinct_suffix(monkeypatch):
@@ -177,8 +175,28 @@ def test_one_spmm_per_distinct_suffix(monkeypatch):
     # features A-B, B-A, A-B-A, B-A-B, A-B-A-B, B-A-B-A, A-B-A-B-A;
     # labels B-A, A-B-A.  Scaling schema (A-B, A-C, l1=3, l2=2): features
     # 4 of 2 types, 6 of 3, 4 of 4; labels B-A, C-A, A-B-A, A-C-A.
-    assert spmm_calls(monkeypatch, 2, 4, 2) == 7 + 2
-    assert spmm_calls(monkeypatch, 3, 3, 2) == 14 + 4
+    def calls(num_types, l1, l2):
+        g = generate_toy(ToySpec(n_target=24, n_aux=8, num_types=num_types,
+                                 homophily=1.0, seed=0))
+        return len(spmm_operands(monkeypatch, g, l1, l2))
+
+    assert calls(2, 4, 2) == 7 + 2
+    assert calls(3, 3, 2) == 14 + 4
+
+
+def test_propagation_work_doubles_with_the_edges(monkeypatch):
+    # the linearity gate's fixtures: doubling the nodes at fixed degree
+    # doubles the edges, so a linear propagation doubles the sparse
+    # entries its products read, exactly and independent of the clock
+    def spmm_nnz(n):
+        g = generate_toy(ToySpec(n_target=n, n_aux=n // 4, num_classes=3,
+                                 homophily=0.7, feature_dim=8,
+                                 edges_per_node=4, seed=0))
+        return sum(a.nnz for a in spmm_operands(monkeypatch, g, 3, 2))
+
+    base = spmm_nnz(800)
+    assert base == 22_400
+    assert spmm_nnz(1600) == 2 * base
 
 
 def test_cache_round_trip_and_determinism(tmp_path):

@@ -1,54 +1,15 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from ahgnn.model import init_gamma
 from ahgnn.sparse import SparseMatrix
 from ahgnn.spectral import (LowpassReport, filter_response,
-                            jacobi_eigenvalues, normalized_adjacency_dense,
                             random_connected_adjacency, spectrum,
                             verify_lowpass)
-
-
-def test_jacobi_matches_numpy_on_random_symmetric():
-    rng = np.random.default_rng(0)
-    for _ in range(25):
-        n = int(rng.integers(1, 16))
-        m = rng.normal(size=(n, n))
-        a = (m + m.T) / 2
-        got = jacobi_eigenvalues(a)
-        want = np.sort(np.linalg.eigvalsh(a))[::-1]
-        np.testing.assert_allclose(got, want, atol=1e-10)
-
-
-def test_jacobi_edge_cases():
-    np.testing.assert_array_equal(jacobi_eigenvalues(np.zeros((0, 0))), [])
-    np.testing.assert_array_equal(jacobi_eigenvalues(np.array([[3.0]])), [3.0])
-    np.testing.assert_array_equal(jacobi_eigenvalues(np.zeros((4, 4))),
-                                  np.zeros(4))
-    np.testing.assert_allclose(jacobi_eigenvalues(np.diag([2.0, -1.0, 5.0])),
-                               [5.0, 2.0, -1.0])
-
-
-def test_jacobi_handles_tiny_and_huge_entries():
-    a = np.array([[1e-200, 1e-210], [1e-210, -1e-200]])
-    got = jacobi_eigenvalues(a)
-    want = np.sort(np.linalg.eigvalsh(a))[::-1]
-    np.testing.assert_allclose(got, want, rtol=1e-10)
-    b = np.array([[1e160, 1.0], [1.0, -1e160]])
-    got = jacobi_eigenvalues(b)
-    want = np.sort(np.linalg.eigvalsh(b))[::-1]
-    np.testing.assert_allclose(got, want, rtol=1e-12)
-
-
-def test_jacobi_rejects_bad_input():
-    with pytest.raises(ValueError, match="square"):
-        jacobi_eigenvalues(np.ones((2, 3)))
-    with pytest.raises(ValueError, match="symmetric"):
-        jacobi_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError, match="finite"):
-        jacobi_eigenvalues(np.array([[np.inf, 0.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError, match="finite"):
-        jacobi_eigenvalues(np.full((2, 2), np.nan))
+from conftest import REPO_ROOT, checkout_env
 
 
 def test_normalization_closed_forms():
@@ -66,23 +27,38 @@ def test_normalization_closed_forms():
 
 
 def test_normalization_handles_isolated_nodes_and_sparse_input():
+    # the weight-2 edge normalizes to 1; the isolated node adds a zero
+    # eigenvalue rather than a division by its zero degree
     adj = np.array([[0.0, 2.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    norm = normalized_adjacency_dense(adj)
-    np.testing.assert_allclose(norm, [[0, 1, 0], [1, 0, 0], [0, 0, 0]],
-                               atol=1e-15)
-    sp = SparseMatrix.from_dense(adj)
-    np.testing.assert_allclose(normalized_adjacency_dense(sp), norm)
+    lam = spectrum(adj)
+    np.testing.assert_allclose(lam, [1.0, 0.0, -1.0], atol=1e-15)
+    np.testing.assert_array_equal(spectrum(SparseMatrix.from_dense(adj)), lam)
 
 
 def test_normalization_input_validation():
     with pytest.raises(ValueError, match="square"):
-        normalized_adjacency_dense(np.ones((2, 3)))
+        spectrum(np.ones((2, 3)))
     with pytest.raises(ValueError, match="symmetric"):
-        normalized_adjacency_dense(np.array([[0.0, 1.0], [0.5, 0.0]]))
+        spectrum(np.array([[0.0, 1.0], [0.5, 0.0]]))
     with pytest.raises(ValueError, match="non-negative"):
-        normalized_adjacency_dense(np.array([[0.0, -1.0], [-1.0, 0.0]]))
+        spectrum(np.array([[0.0, -1.0], [-1.0, 0.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        spectrum(np.array([[np.inf, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="caps at"):
-        normalized_adjacency_dense(np.zeros((501, 501)))
+        spectrum(np.zeros((501, 501)))
+
+
+def test_jacobi_rejects_bad_input():
+    # the inputs the former in-repo Jacobi solver rejected; the numpy path
+    # must reject them too, and call a NaN matrix non-finite, not asymmetric
+    with pytest.raises(ValueError, match="square"):
+        spectrum(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="symmetric"):
+        spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        spectrum(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        spectrum(np.full((2, 2), np.nan))
 
 
 def test_filter_response_matches_naive_polynomial():
@@ -169,3 +145,13 @@ def test_random_connected_adjacency_is_connected():
         assert len(seen) == n
     with pytest.raises(ValueError, match="at least one node"):
         random_connected_adjacency(0, 0, rng)
+
+
+def test_spectral_demo_runs():
+    # the demo imports the module's public names, so a rename breaks it
+    proc = subprocess.run([sys.executable,
+                           str(REPO_ROOT / "demos" / "spectral_lowpass.py")],
+                          capture_output=True, text=True, env=checkout_env(),
+                          cwd=REPO_ROOT, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "low-pass check PASS" in proc.stdout
