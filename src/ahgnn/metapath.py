@@ -13,11 +13,9 @@ product longer than two steps is formed and memory is bounded by the
 block width.  Each distinct two-step suffix is one sparse product of two
 relations; each longer suffix's block is one relation SpMM on a dense
 block.  On the 1600-node scaling fixture (3 types, depth 4: six paths,
-four of them 53-57 % dense) one report takes 55-65 ms against 0.38-0.39 s
-when every full-length path was one raw scipy walk product, and
-`ahgnn analyze` peaks at 59 MB against 104 MB.  At 6,400 target nodes a
-depth-4 graph_homophily takes 1.0-1.2 s and the process 96 MB, against
-10.6 s and 1.14 GB (Xeon, 1 BLAS thread).
+four of them 53-57 % dense) one report takes 55-65 ms and `ahgnn analyze`
+peaks at 59 MB.  At 6,400 target nodes a depth-4 graph_homophily takes
+1.0-1.2 s and the process 96 MB (Xeon, 1 BLAS thread).
 """
 
 from __future__ import annotations
@@ -331,7 +329,11 @@ class IncrementalHomophily:
     n_last array per prefix), plus each path's counts of qualifying
     off-diagonal nonzeros and of same-label ones.  With 1600 target nodes,
     400 nodes per auxiliary type, 3 types and depth 4 that is twelve
-    prefixes, about 150 MB.
+    prefixes, about 150 MB.  `steps` maps each relation on those paths to
+    a dense matrix, of its support where it cannot move.  For a movable
+    b, `steps[(target, b)]` is the current multiplicity matrix of that
+    relation and `steps[(b, target)]` its transposed view: `accept` moves
+    them, and the rewirer reads its edges from them.
 
     Moving one endpoint of a (target, b) edge changes R_tb by a rank-1
     term x y^T with two nonzeros, and R_bt by its transpose.  A prefix's

@@ -12,22 +12,24 @@ seven wiring probes (one wiring plus one graph_homophily each) and stops
 once bisection cannot move the rate, so a below-chance target, which
 starts at the floor 1/c, pays for one probe.  The rewirer checks that the
 relations hold integer multiplicities, measures the start graph once with
-graph_homophily, and draws nothing when that is within tolerance.  Only at
-its first draw does it build its edge counters, and at the first proposal
-an exact incremental evaluator (metapath.IncrementalHomophily) that
-scores each proposal instead of rebuilding the graph and its walk
-products.  The evaluator holds one dense int64 n_target x n_type
-walk-count matrix per meta-path prefix (about 150 MB at 1600 target nodes
-with 3 types, depth 4), and a proposal costs a few vector-matrix products
-plus one sort per path over the area of the rows and columns it touches.
-The HeteroGraph is built only at the start and at the end of a run.
+graph_homophily, and builds nothing more when that is within tolerance.
+Otherwise, before its first draw, it builds an exact incremental
+evaluator (metapath.IncrementalHomophily) that scores each proposal
+instead of rebuilding the graph and its walk products; the evaluator's
+step matrices are the only record of the edge multiplicities, beside one
+list per relation of its distinct edges to draw from.  The evaluator
+holds one dense int64 n_target x n_type walk-count matrix per meta-path
+prefix (about 150 MB at 1600 target nodes with 3 types, depth 4), and a
+proposal costs a few vector-matrix products plus one sort per path over
+the area of the rows and columns it touches; a draw costs O(1) apart
+from removing an edge that loses its last copy from its list.  The
+rewired relations become sparse once, at the end of a run.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -76,26 +78,6 @@ class RewireResult:
     trajectory: list[float] = field(default_factory=list)
 
 
-def _relation_from_pairs(n_rows: int, n_cols: int, pairs: Counter) -> SparseMatrix:
-    if not pairs:
-        return SparseMatrix.empty(n_rows, n_cols)
-    r = np.array([p[0] for p in pairs.elements()], dtype=np.int64)
-    c = np.array([p[1] for p in pairs.elements()], dtype=np.int64)
-    return SparseMatrix.from_coo(n_rows, n_cols, r, c, np.ones(r.size))
-
-
-def _with_relation(graph: HeteroGraph, pair: tuple[str, str],
-                   m: SparseMatrix) -> HeteroGraph:
-    rels = dict(graph.relations)
-    rels[pair] = m
-    rels[(pair[1], pair[0])] = m.transpose()
-    return HeteroGraph(
-        node_types=graph.node_types, counts=graph.counts,
-        features=graph.features, relations=rels,
-        target_type=graph.target_type, labels=graph.labels,
-        num_classes=graph.num_classes, splits=graph.splits)
-
-
 def rewire_to_homophily(graph: HeteroGraph, spec: RewireSpec) -> RewireResult:
     """Drive graph-level homophily toward spec.target_h by endpoint moves.
 
@@ -107,6 +89,8 @@ def rewire_to_homophily(graph: HeteroGraph, spec: RewireSpec) -> RewireResult:
     or after max_iterations draws (converged=False on the result).
     `iterations` counts every draw, `proposals` only the moves that were
     scored, so draws skipped as duplicates show as the difference.
+    The (b, target) relation of a rewired graph is the transpose of its
+    (target, b) one.
     """
     if not 0.0 <= spec.target_h <= 1.0:
         raise ValueError("target homophily must lie in [0, 1]")
@@ -120,53 +104,48 @@ def rewire_to_homophily(graph: HeteroGraph, spec: RewireSpec) -> RewireResult:
             raise ValueError(f"relation ({t!r}, {b!r}) must hold integer "
                              "multiplicities to be rewired")
 
-    def realize(relation) -> HeteroGraph:
-        g = graph
-        for b in rewirable:
-            g = _with_relation(g, (t, b), relation(b))
-        return g
-
-    # the start graph as the end one is built: (b, t) the transpose of (t, b)
-    current = realize(lambda b: SparseMatrix.from_coo(
-        graph.n(t), graph.n(b), *graph.relations[(t, b)].coords(),
-        graph.relations[(t, b)].values))
-    h = graph_homophily(current, spec.depth)
+    h = graph_homophily(graph, spec.depth)
     gap = abs(h - spec.target_h)
     trajectory = [h]
     rng = np.random.default_rng(spec.seed)
-    edges: dict[str, Counter] = {}   # built at the first draw
     evaluator = None
+    edges: dict[str, list[tuple[int, int]]] = {}
+    if gap > spec.tolerance:
+        # evaluator.steps[(t, b)] is the only record of each edge's
+        # multiplicity; edges[b] lists the distinct edges in the order the
+        # draws index them: row-major at the start, an edge that loses its
+        # last copy removed, a new edge appended, a last copy whose move
+        # is rejected sent to the back.  That is the key order of an edge
+        # Counter moved the same way, so the draws, and every dataset
+        # generated from them, match those of a Counter-keeping rewirer
+        # such as the full-recompute oracle in the tests.
+        evaluator = IncrementalHomophily(graph, spec.depth, rewirable)
+        for b in rewirable:
+            r, c = graph.relations[(t, b)].coords()
+            edges[b] = list(zip(r.tolist(), c.tolist()))
     proposals = 0
     accepted = 0
     it = 0
     for it in range(1, spec.max_iterations + 1):
         if gap <= spec.tolerance:
             break
-        if not edges:
-            for b in rewirable:
-                m = graph.relations[(t, b)]
-                r, c = m.coords()
-                edges[b] = Counter(dict(zip(zip(r.tolist(), c.tolist()),
-                                            m.values.astype(int).tolist())))
         b = rewirable[rng.integers(0, len(rewirable))]
-        cnt = edges[b]
-        if not cnt:
+        instances = edges[b]
+        if not instances:
             continue
-        instances = list(cnt.keys())
-        old = instances[rng.integers(0, len(instances))]
+        k = int(rng.integers(0, len(instances)))
+        old = instances[k]
         side = int(rng.integers(0, 2))
         if side == 0:
             new = (int(rng.integers(0, graph.n(t))), old[1])
         else:
             new = (old[0], int(rng.integers(0, graph.n(b))))
-        if new == old or cnt[new] > 0:
+        step = evaluator.steps[(t, b)]
+        if new == old or step[new] > 0:
             continue
-        cnt[old] -= 1
-        if cnt[old] == 0:
-            del cnt[old]
-        cnt[new] += 1
-        if evaluator is None:
-            evaluator = IncrementalHomophily(current, spec.depth, rewirable)
+        last_copy = step[old] == 1
+        if last_copy:
+            del instances[k]
         proposals += 1
         # None: the proposal would empty every qualifying path
         h_new = evaluator.propose(b, old, new)
@@ -175,15 +154,15 @@ def rewire_to_homophily(graph: HeteroGraph, spec: RewireSpec) -> RewireResult:
             h, gap = h_new, abs(h_new - spec.target_h)
             trajectory.append(h)
             accepted += 1
-        else:
-            cnt[new] -= 1
-            if cnt[new] == 0:
-                del cnt[new]
-            cnt[old] += 1
-    if edges:
-        current = realize(lambda b: _relation_from_pairs(
-            graph.n(t), graph.n(b), edges[b]))
-    return RewireResult(graph=current, achieved=h, target=spec.target_h,
+            instances.append(new)
+        elif last_copy:
+            instances.append(old)
+    moved = {} if evaluator is None else {
+        pair: SparseMatrix.from_dense(evaluator.steps[pair])
+        for b in rewirable for pair in ((t, b), (b, t))}
+    return RewireResult(graph=replace(graph, relations={**graph.relations,
+                                                        **moved}),
+                        achieved=h, target=spec.target_h,
                         iterations=it, accepted=accepted,
                         converged=gap <= spec.tolerance,
                         proposals=proposals, trajectory=trajectory)

@@ -106,56 +106,57 @@ class Adam:
     Weight decay shrinks parameters by lr*wd*theta before the moment
     update.  A step with any non-finite gradient is rejected wholesale.
 
-    A step updates every live parameter (one that requires and holds a
-    gradient) at once: their gradients are concatenated in float64 into
-    one flat vector beside flat first and second moment buffers, and
-    their values into one flat vector per dtype, so a step costs a fixed
+    The optimizer updates one fixed set of live parameters (those that
+    require and hold a gradient), all of one dtype; a step whose live
+    set, shapes or dtype differ from the first step's raises ValueError.
+    The first accepted step lays out flat float64 first and second
+    moment buffers over them, and `m` and `v` map each parameter name to
+    its view of those buffers.  A step concatenates the gradients in
+    float64 and the values into one flat vector, so it costs a fixed
     number of numpy calls instead of a dozen per parameter.  Element by
     element the arithmetic is that of a per-parameter loop (decay in the
     parameter's dtype, moments in float64), so the results are
-    bit-identical to it.  `m` and `v` map each parameter name to its
-    slice of the moment buffers; a parameter that holds no gradient in a
-    step keeps its moments until it is live again.
+    bit-identical to it.
     """
 
-    def __init__(self, lr: float, weight_decay: float = 0.0,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr: float, weight_decay: float = 0.0):
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
-        self._layout: tuple = ()
+        self._layout: list | None = None   # set by the first accepted step
         self._flat_m = self._flat_v = np.zeros(0)
-
-    def _lay_out(self, live: dict[str, Tensor]) -> None:
-        """Flat moment buffers over `live`, carrying over stored moments."""
-        self._layout = tuple((n, p.data.shape) for n, p in live.items())
-        size = sum(p.data.size for p in live.values())
-        self._flat_m, self._flat_v = np.zeros(size), np.zeros(size)
-        lo = 0
-        for name, p in live.items():
-            hi = lo + p.data.size
-            for flat, store in ((self._flat_m, self.m), (self._flat_v, self.v)):
-                if name in store:
-                    flat[lo:hi] = store[name].ravel()
-                store[name] = flat[lo:hi].reshape(p.data.shape)
-            lo = hi
 
     def step(self, params: dict[str, Tensor]) -> bool:
         """Apply one update; returns False (no change) on non-finite grads."""
         live = {n: p for n, p in params.items()
                 if p.requires_grad and p.grad is not None}
-        if not live:
-            self.t += 1
-            return True
+        layout = [(n, p.data.shape, p.data.dtype) for n, p in live.items()]
+        if self._layout is None:
+            dtypes = {dtype for _, _, dtype in layout}
+            if len(dtypes) != 1:
+                raise ValueError(f"Adam updates parameters of one dtype; the "
+                                 f"live ones hold {sorted(map(str, dtypes))}")
+        elif layout != self._layout:
+            raise ValueError("Adam updates one fixed set of parameters: "
+                             "the live names, shapes or dtype differ from "
+                             "the first step's")
         g = np.concatenate([p.grad.ravel() for p in live.values()],
                            dtype=np.float64)
         if not np.isfinite(g).all():
             return False
-        if tuple((n, p.data.shape) for n, p in live.items()) != self._layout:
-            self._lay_out(live)
+        if self._layout is None:
+            self._layout = layout
+            self._flat_m, self._flat_v = np.zeros(g.size), np.zeros(g.size)
+            lo = 0
+            for name, p in live.items():
+                hi = lo + p.data.size
+                self.m[name] = self._flat_m[lo:hi].reshape(p.data.shape)
+                self.v[name] = self._flat_v[lo:hi].reshape(p.data.shape)
+                lo = hi
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
@@ -168,22 +169,14 @@ class Adam:
         v += gg
         upd = self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
 
-        groups: dict[np.dtype, list[tuple[Tensor, int]]] = {}
+        theta = np.concatenate([p.data.ravel() for p in live.values()])
+        if self.weight_decay:
+            theta = theta - self.lr * self.weight_decay * theta
+        theta = theta - upd.astype(theta.dtype)
         lo = 0
         for p in live.values():
-            groups.setdefault(p.data.dtype, []).append((p, lo))
+            p.data = theta[lo:lo + p.data.size].reshape(p.data.shape)
             lo += p.data.size
-        for dtype, members in groups.items():
-            theta = np.concatenate([p.data.ravel() for p, _ in members])
-            delta = upd if len(members) == len(live) else np.concatenate(
-                [upd[o:o + p.data.size] for p, o in members])
-            if self.weight_decay:
-                theta = theta - self.lr * self.weight_decay * theta
-            theta = theta - delta.astype(dtype)
-            pos = 0
-            for p, _ in members:
-                p.data = theta[pos:pos + p.data.size].reshape(p.data.shape)
-                pos += p.data.size
         return True
 
 

@@ -6,17 +6,17 @@ evidence rather than tautology.  The exceptions are slow paths that the
 library replaced: oracle_rewire_to_homophily, the rewirer's
 full-recompute loop, which moves each proposal's edge in dense relation
 matrices and recounts every path's int64 walk counts instead of running
-the incremental evaluator; the homophily report that counts every path on
-its canonical (sorted, memoised) walk product through coords(); the
-per-head attention loop and the pairwise head-diversity loop; the
-training loop that runs every forward, the taped step included, over
-all rows; the path embeddings that project every hop of every path, a
-shared prefix once per path through it; the version-1 cache writer,
-which stores every path's full hop list; the softmax that reduces with
-numpy axis reductions; the Adam that updates one parameter at a time;
-the F1 that counts each class with its own masks; and the propagation
-that forms each path's n x n walk product before multiplying it by the
-operand.
+the incremental evaluator, and draws from edge Counters; the homophily
+report that counts every path on its canonical (sorted, memoised) walk
+product through coords(); the per-head attention loop and the pairwise
+head-diversity loop; the training loop that runs every forward, the
+taped step included, over all rows; the path embeddings that project
+every hop of every path, a shared prefix once per path through it; the
+version-1 cache writer, which stores every path's full hop list; the
+softmax that reduces with numpy axis reductions; the Adam that updates
+one parameter at a time; the F1 that counts each class with its own
+masks; and the propagation that forms each path's n x n walk product
+before multiplying it by the operand.
 """
 
 import struct
@@ -35,7 +35,7 @@ from ahgnn.metapath import (HomophilyReport, PathHomophily, PathProducts,
 from ahgnn.model import init_model_params, model_forward
 from ahgnn.propagate import CACHE_MAGIC, label_hop_indices
 from ahgnn.sparse import SparseMatrix, spmm
-from ahgnn.synth import RewireResult, _relation_from_pairs, _with_relation
+from ahgnn.synth import RewireResult
 from ahgnn.train import Adam, EpochRow, Metrics, evaluate, training_loss
 
 
@@ -337,10 +337,11 @@ def oracle_graph_homophily(graph: HeteroGraph, depth: int = 4) -> float:
 def oracle_rewire_to_homophily(graph: HeteroGraph, spec) -> RewireResult:
     """The rewirer with a full dense homophily recompute per proposal.
 
-    Same RNG stream and edge bookkeeping as ahgnn.synth.rewire_to_homophily,
-    but every proposal moves the edge in dense relation matrices and
-    recomputes every path's walk counts from scratch, so it is the
-    reference the incremental evaluator must match.
+    Same RNG stream as ahgnn.synth.rewire_to_homophily, but it draws
+    from edge Counters and builds its result from them, and every
+    proposal moves the edge in dense relation matrices and recomputes
+    every path's walk counts from scratch, so it is the reference the
+    incremental evaluator and the rewirer's edge lists must match.
     """
     if not 0.0 <= spec.target_h <= 1.0:
         raise ValueError("target homophily must lie in [0, 1]")
@@ -409,14 +410,17 @@ def oracle_rewire_to_homophily(graph: HeteroGraph, spec) -> RewireResult:
             accepted += 1
         else:
             move(b, new, old)
-    out = graph
+    relations = dict(graph.relations)
     for b in rewirable:
-        out = _with_relation(out, (t, b), _relation_from_pairs(
-            graph.n(t), graph.n(b), edges[b]))
-    return RewireResult(graph=out, achieved=h, target=spec.target_h,
-                        iterations=it, accepted=accepted,
-                        converged=gap <= spec.tolerance, proposals=proposals,
-                        trajectory=trajectory)
+        keys = list(edges[b])
+        m = SparseMatrix.from_coo(graph.n(t), graph.n(b),
+                                  [i for i, _ in keys], [j for _, j in keys],
+                                  [edges[b][k] for k in keys])
+        relations[(t, b)], relations[(b, t)] = m, m.transpose()
+    return RewireResult(graph=replace(graph, relations=relations),
+                        achieved=h, target=spec.target_h, iterations=it,
+                        accepted=accepted, converged=gap <= spec.tolerance,
+                        proposals=proposals, trajectory=trajectory)
 
 
 def oracle_multi_head_attention(tokens, attn, heads: int):

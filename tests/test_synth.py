@@ -1,7 +1,11 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 import ahgnn.synth as synth
+from conftest import REPO_ROOT, checkout_env
 from oracles import (graphs_identical, oracle_rewire_to_homophily,
                      random_typed_graph)
 from ahgnn.graph import HeteroGraph
@@ -103,11 +107,16 @@ def test_rewire_trajectory_is_monotone():
 
 def test_rewire_gives_up_after_iteration_budget():
     g = generate_toy(small_spec(homophily=1.0))
-    res = rewire_to_homophily(g, RewireSpec(target_h=0.0, seed=0,
-                                            max_iterations=5,
-                                            tolerance=1e-6))
-    assert res.converged is False
-    assert res.iterations == 5
+    for budget in (5, 0):
+        res = rewire_to_homophily(g, RewireSpec(target_h=0.0, seed=0,
+                                                max_iterations=budget,
+                                                tolerance=1e-6))
+        assert res.converged is False
+        assert res.iterations == budget
+    # a zero budget builds the evaluator for the off-target graph, then
+    # draws nothing: the graph comes back as it went in
+    assert res.proposals == 0 and res.accepted == 0
+    assert graphs_identical(res.graph, g)
 
 
 def test_rewire_already_on_target_is_a_no_op():
@@ -135,6 +144,15 @@ def test_rewire_rejects_bad_target_and_fractional_weights():
         with pytest.raises(ValueError, match="integer multiplicities"):
             rewire_to_homophily(frac, RewireSpec(target_h=0.5,
                                                  tolerance=tolerance))
+
+
+def test_rewiring_demo_runs():
+    # the only demo that calls the rewirer
+    proc = subprocess.run([sys.executable,
+                           str(REPO_ROOT / "demos" / "homophily_rewiring.py")],
+                          capture_output=True, text=True, env=checkout_env(),
+                          cwd=REPO_ROOT, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_rewire_needs_a_cross_type_relation():
