@@ -19,8 +19,8 @@ def main() -> None:
     print(f"base graph: {base.counts}, {edges} cross-type edges, "
           f"depth-4 homophily {start:.3f}")
 
-    print(f"\n{'target':>7} {'achieved':>9} {'swaps':>6} {'proposals':>10}  "
-          f"trajectory (first accepted steps)")
+    print(f"\n{'target':>7} {'achieved':>9} {'swaps':>6} {'proposals':>10} "
+          f"{'draws':>6}  trajectory (first accepted steps)")
     for k in (1, 3, 5, 8):
         target = round(0.1 * k, 1)
         r = rewire_to_homophily(base, RewireSpec(target_h=target, seed=1,
@@ -30,7 +30,7 @@ def main() -> None:
         head = " -> ".join(f"{v:.3f}" for v in r.trajectory[:5])
         more = " ..." if len(r.trajectory) > 5 else ""
         print(f"{target:>7} {recheck:>9.3f} {r.accepted:>6} "
-              f"{r.iterations:>10}  {head}{more}")
+              f"{r.proposals:>10} {r.iterations:>6}  {head}{more}")
         assert r.graph.relations[("A", "B")].nnz == edges
 
     print("\nEvery rewired graph keeps the original node set, labels, and")

@@ -23,6 +23,11 @@ import numpy as np
 
 _TAPE_STACK: list["Tape"] = []
 
+# kl_mean and head_pair_kl clamp probabilities below at this floor
+KL_FLOOR = 1e-8
+# grad_check's central-difference step
+FD_STEP = 1e-5
+
 
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "name")
@@ -44,25 +49,6 @@ class Tensor:
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{tag})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
 
 @dataclass
@@ -378,34 +364,34 @@ def cross_entropy_logits(logits: Tensor, labels: np.ndarray,
     return _emit(np.asarray(loss, dtype=logits.data.dtype), (logits,), vjp)
 
 
-def kl_mean(p: Tensor, q: Tensor, eps: float = 1e-8) -> Tensor:
-    """Mean over rows of KL(p || q) with entries clamped below at eps.
+def kl_mean(p: Tensor, q: Tensor) -> Tensor:
+    """Mean over rows of KL(p || q) with entries clamped below at KL_FLOOR.
 
     Rows are the last axis; leading axes are flattened into the row
     count.  Clamping is a floor only, rows are NOT renormalized, so two
-    disjoint one-hot rows measure ~ln(1/eps).
+    disjoint one-hot rows measure ~ln(1/KL_FLOOR).
     """
-    pc = np.maximum(p.data, eps)
-    qc = np.maximum(q.data, eps)
+    pc = np.maximum(p.data, KL_FLOOR)
+    qc = np.maximum(q.data, KL_FLOOR)
     log_ratio = np.log(pc) - np.log(qc)
     rows = int(np.prod(p.data.shape[:-1])) if p.data.ndim > 1 else 1
     out = (pc * log_ratio).sum() / rows
 
     def vjp(g):
         coeff = g / rows
-        gp = np.where(p.data > eps, (log_ratio + 1.0) * coeff, 0.0)
-        gq = np.where(q.data > eps, -(pc / qc) * coeff, 0.0)
+        gp = np.where(p.data > KL_FLOOR, (log_ratio + 1.0) * coeff, 0.0)
+        gq = np.where(q.data > KL_FLOOR, -(pc / qc) * coeff, 0.0)
         return (gp.astype(p.data.dtype), gq.astype(q.data.dtype))
 
     return _emit(np.asarray(out, dtype=p.data.dtype), (p, q), vjp)
 
 
-def head_pair_kl(p: Tensor, eps: float = 1e-8) -> Tensor:
+def head_pair_kl(p: Tensor) -> Tensor:
     """Mean symmetric KL over all unordered pairs of heads (axis 1).
 
     For p of shape (N, H, ..., S) with rows on the last axis this equals
     the mean over pairs i < j of (kl_mean(p_i, p_j) + kl_mean(p_j, p_i)) / 2,
-    with the same eps floor and the same gradient masks, but in O(H)
+    with the same KL_FLOOR and the same gradient masks, but in O(H)
     work through the identity
     sum_{i<j} KL(p_i||p_j) + KL(p_j||p_i)
         = H * sum_i p_i log p_i - (sum_i p_i)(sum_j log p_j)
@@ -414,7 +400,7 @@ def head_pair_kl(p: Tensor, eps: float = 1e-8) -> Tensor:
     h = p.data.shape[1] if p.data.ndim > 2 else 0
     if h < 2:
         raise ValueError("head_pair_kl needs an (N, H, ..., S) tensor with H >= 2")
-    pc = np.maximum(p.data, eps)
+    pc = np.maximum(p.data, KL_FLOOR)
     log_pc = np.log(pc)
     sum_p = pc.sum(axis=1, keepdims=True)
     sum_log = log_pc.sum(axis=1, keepdims=True)
@@ -424,7 +410,7 @@ def head_pair_kl(p: Tensor, eps: float = 1e-8) -> Tensor:
 
     def vjp(g):
         grad = (h * (log_pc + 1.0) - sum_log - sum_p / pc) * (g * c)
-        return (np.where(p.data > eps, grad, 0.0).astype(p.data.dtype),)
+        return (np.where(p.data > KL_FLOOR, grad, 0.0).astype(p.data.dtype),)
 
     return _emit(np.asarray(out, dtype=p.data.dtype), (p,), vjp)
 
@@ -435,9 +421,11 @@ class GradCheckResult:
     n_coords: int
 
 
-def grad_check(fn, inputs: list[Tensor], eps: float = 1e-5,
-               max_coords: int | None = None, rng=None) -> GradCheckResult:
+def grad_check(fn, inputs: list[Tensor], max_coords: int | None = None,
+               rng=None) -> GradCheckResult:
     """Compare tape gradients of `fn(*inputs)` against central differences.
+
+    Each difference steps one coordinate by +-FD_STEP.
 
     `fn` must be a pure function returning a scalar Tensor.  Relative
     error is |analytic - numeric| / max(1, |numeric|).  With max_coords
@@ -464,12 +452,12 @@ def grad_check(fn, inputs: list[Tensor], eps: float = 1e-5,
             coords = np.arange(size)
         for k in coords:
             orig = t.data.flat[k]
-            t.data.flat[k] = orig + eps
+            t.data.flat[k] = orig + FD_STEP
             f_plus = float(fn(*inputs).data)
-            t.data.flat[k] = orig - eps
+            t.data.flat[k] = orig - FD_STEP
             f_minus = float(fn(*inputs).data)
             t.data.flat[k] = orig
-            numeric = (f_plus - f_minus) / (2.0 * eps)
+            numeric = (f_plus - f_minus) / (2.0 * FD_STEP)
             err = abs(float(g.flat[k]) - numeric) / max(1.0, abs(numeric))
             worst = max(worst, err)
             checked += 1

@@ -9,7 +9,6 @@ or input failure, 2 unexpected runtime failure.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -17,16 +16,19 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .autodiff import grad_check
 from .graph import load_dataset, save_dataset
 from .metapath import build_homophily_report, write_homophily_csv
-from .model import (gamma_table, beta_table, init_gamma, load_checkpoint,
-                    model_forward, restore_model_params, save_checkpoint)
+from .model import (gamma_table, beta_table, init_gamma, init_model_params,
+                    load_checkpoint, model_forward, restore_model_params,
+                    save_checkpoint)
 from .propagate import build_cache, read_cache, write_cache
 from .spectral import (MAX_DENSE_NODES, random_connected_adjacency,
                        verify_lowpass)
 from .synth import RewireSpec, ToySpec, generate_toy, rewire_to_homophily
-from .train import (TrainConfig, evaluate_split, train, write_beta_csv,
-                    write_gamma_csv, write_metrics_csv, write_run_json)
+from .train import (TrainConfig, evaluate_split, labeled_rows, train,
+                    training_loss, write_beta_csv, write_gamma_csv,
+                    write_metrics_csv, write_run_json)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -90,23 +92,24 @@ def _cmd_precompute(args) -> int:
     return 0
 
 
-def _load_or_build_cache(args, g):
-    """Read --cache, or the default cache path; only the default may be absent."""
-    if args.cache:
-        cpath = Path(args.cache)
+def _load_or_build_cache(g, data, cache, l1: int, l2: int):
+    """Read `cache`, or the default cache path of the dataset directory
+    `data`; only the default may be absent, and is then built."""
+    if cache:
+        cpath = Path(cache)
         if not cpath.is_file():
             raise ValueError(f"cache file {cpath} not found")
     else:
-        cpath = default_cache_path(Path(args.data))
+        cpath = default_cache_path(Path(data))
         if not cpath.is_file():
-            return build_cache(g, args.l1, args.l2)
+            return build_cache(g, l1, l2)
     return read_cache(cpath, expect_fingerprint=g.fingerprint,
-                      expect_l1=args.l1, expect_l2=args.l2)
+                      expect_l1=l1, expect_l2=l2)
 
 
 def _cmd_train(args) -> int:
     g = load_dataset(args.data)
-    cache = _load_or_build_cache(args, g)
+    cache = _load_or_build_cache(g, args.data, args.cache, args.l1, args.l2)
     config = TrainConfig(
         lr=args.lr, weight_decay=args.weight_decay, max_epochs=args.epochs,
         hidden=args.hidden, l1=args.l1, l2=args.l2, alpha=args.alpha,
@@ -138,18 +141,15 @@ def _cmd_eval(args) -> int:
         config = TrainConfig.from_dict(raw)
     except ValueError as e:
         raise ValueError(f"checkpoint {args.checkpoint}: {e}") from None
-    ns = argparse.Namespace(cache=args.cache, data=args.data,
-                            l1=config.l1, l2=config.l2)
-    cache = _load_or_build_cache(ns, g)
+    cache = _load_or_build_cache(g, args.data, args.cache, config.l1,
+                                 config.l2)
     params = restore_model_params(arrays, cache, config.to_dict(),
                                   dtype=config.dtype)
     mask = g.val_mask if args.split == "val" else g.test_mask
     m = evaluate_split(cache, params, g.labels, mask, config.dtype)
     out = _outdir(args)
-    with open(out / "eval.json", "w") as f:
-        json.dump({"split": args.split, "macro_f1": m.macro_f1,
-                   "micro_f1": m.micro_f1}, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_run_json({"split": args.split, "macro_f1": m.macro_f1,
+                    "micro_f1": m.micro_f1}, out / "eval.json")
     write_run_json(_run_config(args), out / "run.json")
     print(f"{args.split} micro-F1 {m.micro_f1:.4f}, macro-F1 {m.macro_f1:.4f}")
     return 0
@@ -211,16 +211,11 @@ def _cmd_grad_check(args) -> int:
     if args.coords_per_param < 1:
         raise ValueError(f"--coords-per-param must be at least 1, "
                          f"got {args.coords_per_param}")
-    from .autodiff import grad_check
-    from .model import init_model_params
-    from .propagate import build_cache as _bc
-    from .train import labeled_rows, training_loss
-
     g = generate_toy(ToySpec(n_target=20, n_aux=10, num_classes=2,
                              homophily=0.8, feature_dim=5, edges_per_node=3,
                              seed=args.seed, tolerance=0.05))
     rows = labeled_rows(g.train_mask, g.labels)  # `train` steps on these alone
-    cache = _bc(g, 2, 2).take_rows(rows).astype(np.float64)
+    cache = build_cache(g, 2, 2).take_rows(rows).astype(np.float64)
     rng = np.random.default_rng(args.seed)
     params = init_model_params(cache, hidden=8, heads=2, alpha=0.4, rng=rng,
                                dtype=np.float64, num_classes=g.num_classes)

@@ -123,9 +123,12 @@ class HeteroGraph:
             if a != b and (b, a) not in self.relations:
                 raise DatasetError(f"relation ({b!r}, {a!r}) missing its transpose")
             # walk counting and normalization read weights as multiplicities
-            if not np.all(np.isfinite(m.values) & (m.values >= 0)):
-                raise DatasetError(f"relation ({a!r}, {b!r}) holds a negative "
-                                   "or non-finite weight")
+            bad = ~(np.isfinite(m.values) & (m.values >= 1)
+                    & (m.values == np.floor(m.values)))
+            if np.any(bad):
+                raise DatasetError(
+                    f"relation ({a!r}, {b!r}) holds weight {m.values[bad][0]}; "
+                    "weights are edge multiplicities, finite integers >= 1")
         n = self.counts[self.target_type]
         if self.labels.shape != (n,):
             raise DatasetError(f"labels must have length {n}")
@@ -257,16 +260,11 @@ def save_dataset(g: HeteroGraph, path) -> None:
     for (a, b) in sorted(g.relations):
         m = g.relations[(a, b)]
         r, c = m.coords()
-        # integer weights are written back as repeated edge lines
+        # each weight, a multiplicity (validate), is written back as
+        # that many repeated edge lines
         out = []
         for i, j, v in zip(r, c, m.values):
-            if v == int(v) and v > 0:
-                out.extend([f"{i}\t{j}"] * int(v))
-            else:
-                raise DatasetError(
-                    f"relation ({a!r}, {b!r}) holds non-integer weight {v}; "
-                    "the edge list format stores multiplicities only"
-                )
+            out.extend([f"{i}\t{j}"] * int(v))
         (path / f"edges_{a}_{b}.tsv").write_text("\n".join(out) + ("\n" if out else ""))
     labeled = np.nonzero(g.labels >= 0)[0]
     lab_lines = [f"{i}\t{g.labels[i]}" for i in labeled]

@@ -4,8 +4,9 @@ A meta-path is a type sequence T1-T2-...-Tk walkable in the schema; its
 induced adjacency counts the walks between endpoint nodes, obtained by
 chaining the per-step relation matrices.  Homophily ratios compare the
 labels at the two endpoints of those induced edges.  Relation weights
-are non-negative multiplicities (`HeteroGraph.validate` rejects any
-other), so an induced edge exists exactly where some walk does.
+are edge multiplicities, finite integers >= 1 (`HeteroGraph.validate`
+rejects any other), so an induced edge exists exactly where some walk
+does.
 
 Cost of graph_homophily and build_homophily_report: walk supports are
 counted right to left in blocks of target columns (_path_counts), so no
@@ -21,7 +22,7 @@ peaks at 59 MB.  At 6,400 target nodes a depth-4 graph_homophily takes
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,10 +48,6 @@ class MetaPath:
     @property
     def steps(self) -> int:
         return len(self.types) - 1
-
-    @staticmethod
-    def from_key(key: str) -> "MetaPath":
-        return MetaPath(tuple(key.split("-")))
 
 
 def enumerate_metapaths(schema: Schema, start: str, max_len: int,
@@ -195,8 +192,12 @@ def local_homophily(adj: SparseMatrix, labels: np.ndarray) -> np.ndarray:
     return _local_ratios(*_square_counts(adj, labels))
 
 
-def homophily_histogram(local: np.ndarray, bins: int = 5) -> np.ndarray:
-    """Counts of defined local ratios in equal-width bins over [0, 1].
+# equal-width bins over [0, 1] in each local-homophily histogram
+HISTOGRAM_BINS = 5
+
+
+def homophily_histogram(local: np.ndarray) -> np.ndarray:
+    """Counts of defined local ratios in HISTOGRAM_BINS bins over [0, 1].
 
     Bins are left-inclusive; the last bin also includes 1.0.
     """
@@ -204,8 +205,9 @@ def homophily_histogram(local: np.ndarray, bins: int = 5) -> np.ndarray:
     vals = vals[~np.isnan(vals)]
     if np.any((vals < 0) | (vals > 1)):
         raise ValueError("local homophily values must lie in [0, 1]")
-    idx = np.minimum((vals * bins).astype(np.int64), bins - 1)
-    return np.bincount(idx, minlength=bins)
+    idx = np.minimum((vals * HISTOGRAM_BINS).astype(np.int64),
+                     HISTOGRAM_BINS - 1)
+    return np.bincount(idx, minlength=HISTOGRAM_BINS)
 
 
 def _target_paths(graph: HeteroGraph, max_len: int) -> list[MetaPath]:
@@ -254,19 +256,18 @@ def _path_counts(graph: HeteroGraph, max_len: int):
     block by block; a longer suffix's block is one relation times the
     block of its own suffix, M(t0-t1-...-A)[:, J] = R_t0t1 M(t1-...-A)[:, J],
     and lives only while a longer path still extends it.  A one-step path
-    is its relation's block.  Relation weights are non-negative
+    is its relation's block.  Relation weights are multiplicities >= 1
     (`HeteroGraph.validate`), so no walks cancel and a walk matrix's
-    support is the product of its steps' supports: the operands are 0/1
-    float32 supports, clamped to 1 after every step.  The per-block counts
-    are exact integers, summed across blocks in float64.
+    support is the product of its steps' supports: every block is
+    clamped to 1 after every step, so it is a 0/1 float32 support
+    whatever the multiplicities it chains.  The per-block counts are
+    exact integers, summed across blocks in float64.
     """
     paths = _target_paths(graph, max_len)
     labels = np.asarray(graph.labels, dtype=np.int64)
     n = labels.shape[0]
     pairs = sorted({pair for p in paths for pair in zip(p.types, p.types[1:])})
     rel = {pair: graph.relation(*pair) for pair in pairs}
-    rel = {pair: replace(m, values=(m.values != 0).astype(np.float64))
-           for pair, m in rel.items()}
     steps = {pair: m.to_scipy().astype(np.float32) for pair, m in rel.items()}
 
     def columns(m: SparseMatrix) -> sp.csc_matrix:
@@ -318,11 +319,10 @@ def graph_homophily(graph: HeteroGraph, max_len: int = 4) -> float:
 class IncrementalHomophily:
     """Exact graph_homophily of a graph whose edges move one endpoint at a time.
 
-    `movable` names the types b whose (target, b) relation may change; it
-    must hold integer multiplicities.  Every other relation enters by its
-    support only, which leaves the support of each walk product, and so
-    every homophily ratio, unchanged, since weights are non-negative
-    (`HeteroGraph.validate`).
+    `movable` names the types b whose (target, b) relation may change.
+    Relations enter as the multiplicities they hold, integers >= 1
+    (`HeteroGraph.validate`), so the walk counts are exact while they stay
+    below 2^53, where the float64 products they start from are exact.
 
     State: for every prefix of every target-to-target path of at most
     `max_len` steps, the dense int64 walk-count matrix (one n_target x
@@ -330,10 +330,10 @@ class IncrementalHomophily:
     off-diagonal nonzeros and of same-label ones.  With 1600 target nodes,
     400 nodes per auxiliary type, 3 types and depth 4 that is twelve
     prefixes, about 150 MB.  `steps` maps each relation on those paths to
-    a dense matrix, of its support where it cannot move.  For a movable
-    b, `steps[(target, b)]` is the current multiplicity matrix of that
-    relation and `steps[(b, target)]` its transposed view: `accept` moves
-    them, and the rewirer reads its edges from them.
+    its dense multiplicity matrix.  For a movable b, `steps[(target, b)]`
+    is the current matrix of that relation and `steps[(b, target)]` its
+    transposed view: `accept` moves them, and the rewirer reads its edges
+    from them.
 
     Moving one endpoint of a (target, b) edge changes R_tb by a rank-1
     term x y^T with two nonzeros, and R_bt by its transpose.  A prefix's
@@ -354,12 +354,7 @@ class IncrementalHomophily:
         self.n_target = graph.n(t)
         self.labels = np.asarray(graph.labels, dtype=np.int64)
         self.paths = [p.types for p in _target_paths(graph, max_len)]
-        moving = {(t, b) for b in movable} | {(b, t) for b in movable}
-        relations = {pair: m if pair in moving else
-                     replace(m, values=np.ones_like(m.values))
-                     for pair, m in graph.relations.items()}
-        products = PathProducts(replace(graph, relations=relations),
-                                normalized=False)
+        products = PathProducts(graph, normalized=False)
         self.walks = {}   # prefix -> dense walk counts
         for path in self.paths:
             for k in range(2, len(path) + 1):
@@ -385,7 +380,8 @@ class IncrementalHomophily:
         for path in self.paths:
             for pair in zip(path, path[1:]):
                 if pair not in self.steps:
-                    self.steps[pair] = relations[pair].to_dense().astype(np.int64)
+                    self.steps[pair] = \
+                        graph.relation(*pair).to_dense().astype(np.int64)
         self._pending = None
 
     def propose(self, b: str, old: tuple[int, int],
@@ -513,7 +509,8 @@ def build_homophily_report(graph: HeteroGraph, max_len: int = 4) -> HomophilyRep
 def write_homophily_csv(report: HomophilyReport, path) -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        nbins = len(report.paths[0].histogram) if report.paths else 5
+        nbins = len(report.paths[0].histogram) if report.paths \
+            else HISTOGRAM_BINS
         w.writerow(["metapath", "global_h", "n_edges"]
                    + [f"bin{i}" for i in range(nbins)])
         for p in report.paths:

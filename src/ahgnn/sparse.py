@@ -17,6 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+# SparseMatrix.allclose's relative and absolute value tolerance
+ALLCLOSE_TOL = 1e-12
+
 
 def _index_dtype(rows: int, cols: int, nnz: int):
     return np.int32 if max(rows, cols, nnz) <= np.iinfo(np.int32).max \
@@ -146,14 +149,16 @@ class SparseMatrix:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("values must be finite")
 
-    def allclose(self, other: "SparseMatrix", rtol=1e-12, atol=1e-12) -> bool:
+    def allclose(self, other: "SparseMatrix") -> bool:
+        """Same structure, values equal within ALLCLOSE_TOL (rtol and atol)."""
         if self.shape != other.shape:
             return False
         if not np.array_equal(self.row_offsets, other.row_offsets):
             return False
         if not np.array_equal(self.col_indices, other.col_indices):
             return False
-        return np.allclose(self.values, other.values, rtol=rtol, atol=atol)
+        return np.allclose(self.values, other.values, rtol=ALLCLOSE_TOL,
+                           atol=ALLCLOSE_TOL)
 
 
 def spmm(a: SparseMatrix, x: np.ndarray) -> np.ndarray:

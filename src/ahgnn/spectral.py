@@ -18,18 +18,19 @@ import numpy as np
 from .sparse import SparseMatrix, normalize_relation
 
 MAX_DENSE_NODES = 500
+# verify_lowpass: the top eigenvalue must be 1 within TOP_TOL, and every
+# other |response| below 1 - STRICT_MARGIN
+TOP_TOL = 1e-8
+STRICT_MARGIN = 1e-10
 
 
-def spectrum(adj) -> np.ndarray:
-    """Descending eigenvalues of the normalized adjacency.
+def spectrum(adj: np.ndarray) -> np.ndarray:
+    """Descending eigenvalues of the normalized dense adjacency `adj`.
 
     The matrix is the one `sparse.normalize_relation` builds for
     propagation, densified and handed to numpy's symmetric eigensolver.
     """
-    if isinstance(adj, SparseMatrix):
-        a = adj.to_dense()
-    else:
-        a = np.asarray(adj, dtype=np.float64)
+    a = np.asarray(adj, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("adjacency must be square")
     if a.shape[0] > MAX_DENSE_NODES:
@@ -69,13 +70,11 @@ class LowpassReport:
                 f"{self.worst_response:.6f}, margin {self.margin:.3e}{extra}")
 
 
-def verify_lowpass(gamma: np.ndarray, adj,
-                   top_tol: float = 1e-8,
-                   strict_margin: float = 1e-10) -> LowpassReport:
+def verify_lowpass(gamma: np.ndarray, adj: np.ndarray) -> LowpassReport:
     """Check the low-pass property of `gamma` on one graph's spectrum.
 
-    Passing means: top eigenvalue equals 1 within top_tol, and every
-    other eigenvalue's |response| stays below 1 - strict_margin.  A
+    Passing means: top eigenvalue equals 1 within TOP_TOL, and every
+    other eigenvalue's |response| stays below 1 - STRICT_MARGIN.  A
     disconnected graph (top eigenvalue with multiplicity above one) is
     flagged as a precondition violation and the check fails without
     claiming a counterexample.
@@ -86,12 +85,12 @@ def verify_lowpass(gamma: np.ndarray, adj,
         raise ValueError("empty spectrum")
     top = float(lam[0])
     second = float(lam[1]) if lam.size > 1 else float("-inf")
-    connected = int(np.sum(lam > 1.0 - top_tol)) == 1
+    connected = int(np.sum(lam > 1.0 - TOP_TOL)) == 1
     tail = np.abs(resp[1:]) if lam.size > 1 else np.zeros(0)
     worst = float(tail.max()) if tail.size else 0.0
     margin = 1.0 - worst
-    passed = (abs(top - 1.0) <= top_tol and connected
-              and bool(np.all(tail < 1.0 - strict_margin)))
+    passed = (abs(top - 1.0) <= TOP_TOL and connected
+              and bool(np.all(tail < 1.0 - STRICT_MARGIN)))
     return LowpassReport(
         eigenvalues=lam, response=resp, top_eigenvalue=top,
         second_eigenvalue=second, connected=connected,

@@ -10,14 +10,14 @@ trajectory of accepted moves is monotone.
 Cost model: generate_toy first refines its attachment rate with at most
 seven wiring probes (one wiring plus one graph_homophily each) and stops
 once bisection cannot move the rate, so a below-chance target, which
-starts at the floor 1/c, pays for one probe.  The rewirer checks that the
-relations hold integer multiplicities, measures the start graph once with
-graph_homophily, and builds nothing more when that is within tolerance.
-Otherwise, before its first draw, it builds an exact incremental
-evaluator (metapath.IncrementalHomophily) that scores each proposal
-instead of rebuilding the graph and its walk products; the evaluator's
-step matrices are the only record of the edge multiplicities, beside one
-list per relation of its distinct edges to draw from.  The evaluator
+starts at the floor 1/c, pays for one probe.  The rewirer measures the
+start graph once with graph_homophily, and builds nothing more when that
+is within tolerance.  Otherwise, before its first draw, it builds an
+exact incremental evaluator (metapath.IncrementalHomophily) that scores
+each proposal instead of rebuilding the graph and its walk products; the
+evaluator's step matrices are the only record of the edge multiplicities
+(the relation weights, integers >= 1 by `HeteroGraph.validate`), beside
+one list per relation of its distinct edges to draw from.  The evaluator
 holds one dense int64 n_target x n_type walk-count matrix per meta-path
 prefix (about 150 MB at 1600 target nodes with 3 types, depth 4), and a
 proposal costs a few vector-matrix products plus one sort per path over
@@ -28,7 +28,6 @@ rewired relations become sparse once, at the end of a run.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -98,11 +97,6 @@ def rewire_to_homophily(graph: HeteroGraph, spec: RewireSpec) -> RewireResult:
     rewirable = sorted(b for (a, b) in graph.relations if a == t and b != t)
     if not rewirable:
         raise ValueError("no cross-type relation touches the target type")
-    for b in rewirable:
-        v = graph.relations[(t, b)].values
-        if np.any((v != np.floor(v)) | (v <= 0)):
-            raise ValueError(f"relation ({t!r}, {b!r}) must hold integer "
-                             "multiplicities to be rewired")
 
     h = graph_homophily(graph, spec.depth)
     gap = abs(h - spec.target_h)

@@ -489,17 +489,6 @@ def test_requires_grad_propagates_through_chains():
         assert z.requires_grad
 
 
-def test_operator_sugar():
-    a = t([[1.0, 2.0]])
-    b = t([[3.0, 4.0]])
-    np.testing.assert_array_equal((a + b).data, [[4.0, 6.0]])
-    np.testing.assert_array_equal((a - b).data, [[-2.0, -2.0]])
-    np.testing.assert_array_equal((a * b).data, [[3.0, 8.0]])
-    np.testing.assert_array_equal((2.0 * a).data, [[2.0, 4.0]])
-    np.testing.assert_array_equal((-a).data, [[-1.0, -2.0]])
-    np.testing.assert_array_equal((a @ ad.transpose(b)).data, [[11.0]])
-
-
 def test_float32_dtype_is_preserved():
     a = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
     out = ad.add(ad.scale(a, 2.0), ad.add_const(a, 1.0))

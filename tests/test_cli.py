@@ -350,10 +350,9 @@ def test_grad_check_differentiates_the_train_objective(tmp_path, capsys,
     # `train` takes cross entropy and both regularizers on the labeled
     # train rows alone; grad-check must differentiate that objective
     import ahgnn.cli as cli
-    import ahgnn.train as training
 
     seen = {}
-    real_toy, real_loss = cli.generate_toy, training.training_loss
+    real_toy, real_loss = cli.generate_toy, cli.training_loss
 
     def toy(spec):
         seen["graph"] = real_toy(spec)
@@ -365,7 +364,7 @@ def test_grad_check_differentiates_the_train_objective(tmp_path, capsys,
         return real_loss(out, labels, mask, lambda1, lambda2)
 
     monkeypatch.setattr(cli, "generate_toy", toy)
-    monkeypatch.setattr(training, "training_loss", loss)
+    monkeypatch.setattr(cli, "training_loss", loss)
     run_ok(["grad-check", "--coords-per-param", "1",
             "--out", str(tmp_path / "gc")], capsys)
     g = seen["graph"]

@@ -78,15 +78,18 @@ def test_fingerprint_tracks_every_array():
 
 
 def test_create_rejects_negative_and_nan_weights():
-    # walk counting and normalization read weights as multiplicities
-    for bad in (-1.0, np.nan):
+    # walk counting and normalization read weights as multiplicities, so
+    # a fraction, a stored zero, a negative and a non-finite weight all go
+    m = SparseMatrix.from_dense([[1.0, 1.0], [0, 2]])
+    for bad in (0.5, 0.0, -1.0, np.nan, np.inf):
         with pytest.raises(DatasetError,
-                           match=r"relation \('A', 'B'\) holds a negative "
-                                 "or non-finite weight"):
+                           match=r"relation \('A', 'B'\) holds weight "
+                                 r"\S+; weights are edge multiplicities, "
+                                 "finite integers >= 1"):
             HeteroGraph.create(
                 ("A", "B"), {"A": 2, "B": 2},
                 {"A": np.zeros((2, 1)), "B": np.zeros((2, 1))},
-                {("A", "B"): SparseMatrix.from_dense([[1.0, bad], [0, 2]])},
+                {("A", "B"): replace(m, values=np.array([1.0, bad, 2.0]))},
                 "A", [0, 1], 2, [0, 1])
 
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from ahgnn.model import init_gamma
-from ahgnn.sparse import SparseMatrix
 from ahgnn.spectral import (LowpassReport, filter_response,
                             random_connected_adjacency, spectrum,
                             verify_lowpass)
@@ -26,13 +25,12 @@ def test_normalization_closed_forms():
                                atol=1e-12)
 
 
-def test_normalization_handles_isolated_nodes_and_sparse_input():
+def test_normalization_handles_isolated_nodes():
     # the weight-2 edge normalizes to 1; the isolated node adds a zero
     # eigenvalue rather than a division by its zero degree
     adj = np.array([[0.0, 2.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     lam = spectrum(adj)
     np.testing.assert_allclose(lam, [1.0, 0.0, -1.0], atol=1e-15)
-    np.testing.assert_array_equal(spectrum(SparseMatrix.from_dense(adj)), lam)
 
 
 def test_normalization_input_validation():

@@ -8,7 +8,7 @@ import ahgnn.synth as synth
 from conftest import REPO_ROOT, checkout_env
 from oracles import (graphs_identical, oracle_rewire_to_homophily,
                      random_typed_graph)
-from ahgnn.graph import HeteroGraph
+from ahgnn.graph import DatasetError, HeteroGraph
 from ahgnn.metapath import graph_homophily
 from ahgnn.sparse import SparseMatrix
 from ahgnn.synth import (RewireSpec, ToySpec, generate_toy,
@@ -133,17 +133,15 @@ def test_rewire_rejects_bad_target_and_fractional_weights():
     with pytest.raises(ValueError, match="lie in"):
         rewire_to_homophily(g, RewireSpec(target_h=1.5))
 
-    frac = HeteroGraph.create(
-        ["A", "B"], {"A": 4, "B": 2},
-        {"A": np.ones((4, 1)), "B": np.ones((2, 1))},
-        {("A", "B"): SparseMatrix.from_coo(4, 2, [0, 1, 2, 3], [0, 1, 0, 1],
-                                           [0.5, 1.0, 1.0, 1.0])},
-        "A", np.array([0, 1, 0, 1]), 2, np.array([0, 0, 1, 2]))
-    # the weights are checked even where the graph is already on target
-    for tolerance in (0.03, 1.0):
-        with pytest.raises(ValueError, match="integer multiplicities"):
-            rewire_to_homophily(frac, RewireSpec(target_h=0.5,
-                                                 tolerance=tolerance))
+    # a fractional weight never reaches the rewirer: no graph holds one
+    with pytest.raises(DatasetError, match="edge multiplicities"):
+        HeteroGraph.create(
+            ["A", "B"], {"A": 4, "B": 2},
+            {"A": np.ones((4, 1)), "B": np.ones((2, 1))},
+            {("A", "B"): SparseMatrix.from_coo(4, 2, [0, 1, 2, 3],
+                                               [0, 1, 0, 1],
+                                               [0.5, 1.0, 1.0, 1.0])},
+            "A", np.array([0, 1, 0, 1]), 2, np.array([0, 0, 1, 2]))
 
 
 def test_rewiring_demo_runs():

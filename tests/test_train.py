@@ -1,5 +1,7 @@
 import csv
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from ahgnn.train import (Adam, Metrics, TrainConfig, evaluate, f1_scores,
                          head_diversity, train, training_loss,
                          write_beta_csv, write_gamma_csv, write_metrics_csv)
 
+from conftest import REPO_ROOT, checkout_env
 from oracles import (OracleAdam, oracle_f1, oracle_f1_scores,
                      oracle_train_history)
 
@@ -627,3 +630,11 @@ def test_gamma_and_beta_csv_layout(tmp_path):
     assert grows == [["path", "hop", "value"], ["A-B-A", "0", "0.25"],
                      ["A-B-A", "1", "0.75"]]
     assert brows == [["path", "beta"], ["A", "0.5"], ["A-B", "0.5"]]
+
+
+def test_pipeline_demo_runs():
+    proc = subprocess.run([sys.executable,
+                           str(REPO_ROOT / "demos" / "precompute_and_train.py")],
+                          capture_output=True, text=True, env=checkout_env(),
+                          cwd=REPO_ROOT, timeout=120)
+    assert proc.returncode == 0, proc.stderr
