@@ -31,6 +31,18 @@ from .train import (TrainConfig, evaluate_split, labeled_rows, train,
                     write_metrics_csv, write_run_json)
 
 
+# train's valued flags (argparse dests) -> the TrainConfig field each
+# sets; a flag's default is its field's
+TRAIN_FLAGS = {"lr": "lr", "weight_decay": "weight_decay",
+               "epochs": "max_epochs", "hidden": "hidden", "l1": "l1",
+               "l2": "l2", "alpha": "alpha", "lambda1": "lambda1",
+               "lambda2": "lambda2", "heads": "heads", "patience": "patience",
+               "seed": "seed", "precision": "precision"}
+# synth's flags that set the ToySpec field of the same name and default
+TOY_FLAGS = ("homophily", "n_target", "n_aux", "num_types", "num_classes",
+             "feature_dim", "edges_per_node", "seed")
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad flags; 2 is reserved for runtime failures here
     def error(self, message):
@@ -110,12 +122,8 @@ def _load_or_build_cache(g, data, cache, l1: int, l2: int):
 def _cmd_train(args) -> int:
     g = load_dataset(args.data)
     cache = _load_or_build_cache(g, args.data, args.cache, args.l1, args.l2)
-    config = TrainConfig(
-        lr=args.lr, weight_decay=args.weight_decay, max_epochs=args.epochs,
-        hidden=args.hidden, l1=args.l1, l2=args.l2, alpha=args.alpha,
-        lambda1=args.lambda1, lambda2=args.lambda2, heads=args.heads,
-        patience=args.patience, seed=args.seed, precision=args.precision,
-        fix_gamma_uniform=args.fix_gamma)
+    config = TrainConfig(**{f: getattr(args, d) for d, f in TRAIN_FLAGS.items()},
+                         fix_gamma_uniform=args.fix_gamma)
     config.validate()
     result = train(g, cache, config)
     out = _outdir(args)
@@ -169,12 +177,9 @@ def _cmd_synth(args) -> int:
               f"{result.proposals} proposals, {result.accepted} accepted "
               f"moves, {result.iterations} iterations); {msg}")
     else:
-        g = generate_toy(ToySpec(
-            n_target=args.n_target, n_aux=args.n_aux, num_types=args.num_types,
-            num_classes=args.num_classes, homophily=args.homophily,
-            feature_dim=args.feature_dim, edges_per_node=args.edges_per_node,
-            seed=args.seed, tolerance=args.tolerance,
-            max_rewire=args.max_iterations))
+        g = generate_toy(ToySpec(**{f: getattr(args, f) for f in TOY_FLAGS},
+                                 tolerance=args.tolerance,
+                                 max_rewire=args.max_iterations))
         save_dataset(g, out)
         print(f"wrote toy dataset to {out}")
     write_run_json(_run_config(args), out / "run.json")
@@ -249,8 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("precompute", help="build the message cache")
     pc.add_argument("--data", required=True)
-    pc.add_argument("--l1", type=int, default=2)
-    pc.add_argument("--l2", type=int, default=2)
+    pc.add_argument("--l1", type=int, default=TrainConfig.l1)
+    pc.add_argument("--l2", type=int, default=TrainConfig.l2)
     pc.add_argument("--out", default=None,
                     help="cache file (default: AHGNN_CACHE_DIR or the data dir)")
     pc.add_argument("--threads", type=int, default=1,
@@ -261,19 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--data", required=True)
     tr.add_argument("--cache", default=None)
     tr.add_argument("--out", default=".")
-    tr.add_argument("--lr", type=float, default=1e-3)
-    tr.add_argument("--weight-decay", type=float, default=5e-6)
-    tr.add_argument("--epochs", type=int, default=200)
-    tr.add_argument("--hidden", type=int, default=256)
-    tr.add_argument("--l1", type=int, default=2)
-    tr.add_argument("--l2", type=int, default=2)
-    tr.add_argument("--alpha", type=float, default=0.25)
-    tr.add_argument("--lambda1", type=float, default=1e-4)
-    tr.add_argument("--lambda2", type=float, default=1e-4)
-    tr.add_argument("--heads", type=int, default=4)
-    tr.add_argument("--patience", type=int, default=30)
-    tr.add_argument("--seed", type=int, default=0)
-    tr.add_argument("--precision", choices=("f32", "f64"), default="f32")
+    for dest, field in TRAIN_FLAGS.items():
+        default = getattr(TrainConfig, field)
+        tr.add_argument("--" + dest.replace("_", "-"), type=type(default),
+                        default=default, choices=("f32", "f64")
+                        if dest == "precision" else None)
     tr.add_argument("--fix-gamma", action="store_true",
                     help="pin every hop weight at 1 (non-adaptive ablation)")
     tr.set_defaults(handler=_cmd_train)
@@ -291,16 +288,14 @@ def build_parser() -> argparse.ArgumentParser:
     sy.add_argument("--out", required=True)
     sy.add_argument("--data", default=None,
                     help="existing dataset to rewire (omit to generate)")
-    sy.add_argument("--homophily", type=float, default=0.7)
-    sy.add_argument("--n-target", type=int, default=60)
-    sy.add_argument("--n-aux", type=int, default=30)
-    sy.add_argument("--num-types", type=int, default=2)
-    sy.add_argument("--num-classes", type=int, default=3)
-    sy.add_argument("--feature-dim", type=int, default=8)
-    sy.add_argument("--edges-per-node", type=int, default=4)
-    sy.add_argument("--tolerance", type=float, default=0.03)
-    sy.add_argument("--max-iterations", type=int, default=30000)
-    sy.add_argument("--seed", type=int, default=0)
+    for f in TOY_FLAGS:
+        default = getattr(ToySpec, f)
+        sy.add_argument("--" + f.replace("_", "-"), type=type(default),
+                        default=default)
+    # the rewiring budget defaults to RewireSpec's, for both uses of synth
+    sy.add_argument("--tolerance", type=float, default=RewireSpec.tolerance)
+    sy.add_argument("--max-iterations", type=int,
+                    default=RewireSpec.max_iterations)
     sy.set_defaults(handler=_cmd_synth)
 
     vs = sub.add_parser("verify-spectral",

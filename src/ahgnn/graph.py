@@ -330,7 +330,7 @@ def load_dataset(path) -> HeteroGraph:
             counts[a], counts[b], e[:, 0], e[:, 1], np.ones(e.shape[0]))
     for (a, b), m in relations.items():
         if (b, a) in relations and a < b and \
-                not relations[(b, a)].allclose(m.transpose()):
+                relations[(b, a)] != m.transpose():
             raise DatasetError(f"edges_{b}_{a}.tsv is not the reverse of "
                                f"edges_{a}_{b}.tsv: list one direction, or "
                                "both with the same edges")

@@ -4,7 +4,8 @@ Per meta-path token, precomputed hop messages are projected into a
 shared hidden space and mixed with learnable hop weights gamma
 (initialized to a decaying convex profile, which is provably low-pass;
 see spectral).  `token_layout` alone decides what a token is made of:
-its hop messages, their projections and its gamma.  The tokens are
+its hop messages, their projections and its gamma.  `ModelParams` keeps
+every parameter in one table under its checkpoint name.  The tokens are
 fused in two rounds of multi-head attention: a coarse round whose
 averaged attention mass yields per-token influence factors, and a fine
 round over influence-scaled tokens; a sigmoid-gated sum of the two,
@@ -46,23 +47,8 @@ def init_gamma(alpha: float, hops: int) -> np.ndarray:
         raise ValueError("alpha must lie strictly between 0 and 1")
     if hops < 0:
         raise ValueError("hops must be >= 0")
-    g = np.array([alpha * (1.0 - alpha) ** l for l in range(hops)]
-                 + [(1.0 - alpha) ** hops], dtype=np.float64)
-    return g
-
-
-@dataclass
-class LinearParams:
-    w: Tensor
-    b: Tensor
-
-
-@dataclass
-class AttentionParams:
-    wq: Tensor
-    wk: Tensor
-    wv: Tensor
-    wo: Tensor
+    return np.array([alpha * (1.0 - alpha) ** l for l in range(hops)]
+                    + [(1.0 - alpha) ** hops], dtype=np.float64)
 
 
 class Hop(NamedTuple):
@@ -97,49 +83,21 @@ def token_layout(cache: MessageCache) -> list[Token]:
 
 @dataclass
 class ModelParams:
+    """The head count and every parameter, keyed by its checkpoint name.
+
+    The table holds, in this order: each token's hop weights (its
+    `Token.gamma` name), each projection's `.w` and `.b` in token-layout
+    order, `coarse.`/`fine.` `wq wk wv wo`, `gate`, and `cls.w`/`cls.b`.
+    """
     heads: int
-    gamma: dict[str, Tensor]              # one hop-weight vector per token
-    projections: dict[str, LinearParams]  # one per distinct hop projection
-    coarse: AttentionParams
-    fine: AttentionParams
-    gate: Tensor
-    classifier: LinearParams
+    tensors: dict[str, Tensor]
 
     def all_parameters(self) -> dict[str, Tensor]:
-        """Flat name -> Tensor map with stable, checkpointable names.
-
-        Hop weights, then projections, each in token-layout order; then
-        attention, gate and classifier.
-        """
-        out = dict(self.gamma)
-        for name, lin in self.projections.items():
-            out[f"{name}.w"], out[f"{name}.b"] = lin.w, lin.b
-        for side, att in (("coarse", self.coarse), ("fine", self.fine)):
-            out.update((f"{side}.{nm}", t) for nm, t in vars(att).items())
-        out["gate"] = self.gate
-        out["cls.w"] = self.classifier.w
-        out["cls.b"] = self.classifier.b
-        return out
+        """The parameter table itself, in its stable, checkpointable order."""
+        return self.tensors
 
 
-def _glorot(rng, fan_in: int, fan_out: int, dtype) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
-
-
-def _linear(rng, fan_in: int, fan_out: int, dtype, name: str) -> LinearParams:
-    return LinearParams(
-        w=Tensor(_glorot(rng, fan_in, fan_out, dtype), requires_grad=True,
-                 name=f"{name}.w"),
-        b=Tensor(np.zeros(fan_out, dtype=dtype), requires_grad=True,
-                 name=f"{name}.b"),
-    )
-
-
-def _attention(rng, hidden: int, dtype, side: str) -> AttentionParams:
-    return AttentionParams(*(Tensor(_glorot(rng, hidden, hidden, dtype),
-                                    requires_grad=True, name=f"{side}.{nm}")
-                             for nm in ("wq", "wk", "wv", "wo")))
+ATTENTION_WEIGHTS = ("wq", "wk", "wv", "wo")
 
 
 def init_model_params(cache: MessageCache, hidden: int, heads: int,
@@ -152,32 +110,40 @@ def init_model_params(cache: MessageCache, hidden: int, heads: int,
     None, it takes the label messages' width, so a cache without label
     paths needs it.  With fix_gamma, every hop weight is pinned at 1.0
     and excluded from gradient updates (the non-adaptive ablation).
+    Glorot weights are drawn from rng for the projections, then the
+    attention rounds, then the classifier; biases and the gate start at 0.
     """
     if hidden < 1 or heads < 1 or hidden % heads != 0:
         raise ValueError(f"hidden ({hidden}) must be a positive multiple of "
                          f"heads ({heads})")
     if num_classes is None:
         num_classes = cache.num_classes
+    tensors: dict[str, Tensor] = {}
 
-    gamma: dict[str, Tensor] = {}
-    projections: dict[str, LinearParams] = {}
-    for token in token_layout(cache):
+    def add(name: str, data: np.ndarray, trainable: bool = True) -> None:
+        tensors[name] = Tensor(data.astype(dtype), requires_grad=trainable,
+                               name=name)
+
+    def glorot(name: str, fan_in: int, fan_out: int) -> None:
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        add(name, rng.uniform(-limit, limit, size=(fan_in, fan_out)))
+
+    layout = token_layout(cache)
+    for token in layout:
         n = len(token.hops)
-        init = np.ones(n) if fix_gamma else init_gamma(alpha, n - 1)
-        gamma[token.gamma] = Tensor(init.astype(dtype), name=token.gamma,
-                                    requires_grad=not fix_gamma)
-        for hop in token.hops:
-            if hop.projection not in projections:
-                projections[hop.projection] = _linear(
-                    rng, hop.message.shape[1], hidden, dtype, hop.projection)
-
-    return ModelParams(
-        heads=heads, gamma=gamma, projections=projections,
-        coarse=_attention(rng, hidden, dtype, "coarse"),
-        fine=_attention(rng, hidden, dtype, "fine"),
-        gate=Tensor(np.zeros((), dtype=dtype), requires_grad=True, name="gate"),
-        classifier=_linear(rng, hidden, num_classes, dtype, "cls"),
-    )
+        add(token.gamma, np.ones(n) if fix_gamma else init_gamma(alpha, n - 1),
+            trainable=not fix_gamma)
+    for hop in (hop for token in layout for hop in token.hops):
+        if f"{hop.projection}.w" not in tensors:
+            glorot(f"{hop.projection}.w", hop.message.shape[1], hidden)
+            add(f"{hop.projection}.b", np.zeros(hidden))
+    for side in ("coarse", "fine"):
+        for nm in ATTENTION_WEIGHTS:
+            glorot(f"{side}.{nm}", hidden, hidden)
+    add("gate", np.zeros(()))
+    glorot("cls.w", hidden, num_classes)
+    add("cls.b", np.zeros(num_classes))
+    return ModelParams(heads=heads, tensors=tensors)
 
 
 def path_embeddings(cache: MessageCache,
@@ -188,16 +154,18 @@ def path_embeddings(cache: MessageCache,
     it, and shared by every later token that reads it.
     """
     layout = token_layout(cache)
+    p = params.tensors
     projected: dict[str, Tensor] = {}
     embs = []
     for token in layout:
         for hop in token.hops:
-            if hop.projection not in projected:
-                lin = params.projections[hop.projection]
-                projected[hop.projection] = ad.add(
-                    ad.matmul(ad.constant(hop.message), lin.w), lin.b)
+            name = hop.projection
+            if name not in projected:
+                projected[name] = ad.add(
+                    ad.matmul(ad.constant(hop.message), p[f"{name}.w"]),
+                    p[f"{name}.b"])
         embs.append(ad.weighted_sum([projected[h.projection] for h in token.hops],
-                                    params.gamma[token.gamma]))
+                                    p[token.gamma]))
     return [token.key for token in layout], embs
 
 
@@ -206,10 +174,11 @@ def assemble_tokens(embs: list[Tensor]) -> Tensor:
     return ad.concat([ad.unsqueeze(e, 1) for e in embs], axis=1)
 
 
-def multi_head_attention(tokens: Tensor, attn: AttentionParams,
-                         heads: int) -> tuple[Tensor, Tensor]:
+def multi_head_attention(tokens: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
+                         wo: Tensor, heads: int) -> tuple[Tensor, Tensor]:
     """Scaled dot-product attention over the token axis.
 
+    wq, wk, wv and wo are the (d, d) query, key, value and output maps.
     All heads run as one batched product over (N, H, S, d_h) slices of
     the projections.  Returns the output tensor (N, S, d) and the
     attention maps of every head as one (N, H, S, S) tensor.  No
@@ -223,15 +192,15 @@ def multi_head_attention(tokens: Tensor, attn: AttentionParams,
     def split(x: Tensor, axes: tuple) -> Tensor:
         return ad.permute(ad.reshape(x, (n, s, heads, dh)), axes)
 
-    q = split(ad.matmul(tokens, attn.wq), (0, 2, 1, 3))   # (N, H, S, dh)
-    kt = split(ad.matmul(tokens, attn.wk), (0, 2, 3, 1))  # (N, H, dh, S)
-    v = split(ad.matmul(tokens, attn.wv), (0, 2, 1, 3))
+    q = split(ad.matmul(tokens, wq), (0, 2, 1, 3))   # (N, H, S, dh)
+    kt = split(ad.matmul(tokens, wk), (0, 2, 3, 1))  # (N, H, dh, S)
+    v = split(ad.matmul(tokens, wv), (0, 2, 1, 3))
     scores = ad.scale(ad.matmul(q, kt), 1.0 / np.sqrt(dh))
     if not np.all(np.isfinite(scores.data)):
         raise FloatingPointError("non-finite attention logits")
     att = ad.row_softmax(scores)
     merged = ad.reshape(ad.permute(ad.matmul(att, v), (0, 2, 1, 3)), (n, s, d))
-    return ad.matmul(merged, attn.wo), att
+    return ad.matmul(merged, wo), att
 
 
 def influence_factors(att: Tensor) -> Tensor:
@@ -254,19 +223,21 @@ class ModelOutput:
 
 def model_forward(cache: MessageCache, params: ModelParams) -> ModelOutput:
     """Full forward pass over every target node in the cache."""
+    p = params.tensors
     keys, embs = path_embeddings(cache, params)
     tokens = assemble_tokens(embs)
-    coarse_out, coarse_att = multi_head_attention(tokens, params.coarse,
-                                                  params.heads)
+    coarse_out, coarse_att = multi_head_attention(
+        tokens, *(p[f"coarse.{nm}"] for nm in ATTENTION_WEIGHTS), params.heads)
     beta = influence_factors(coarse_att)
     scaled = ad.mul(tokens, ad.unsqueeze(beta, 2))
-    fine_out, fine_att = multi_head_attention(scaled, params.fine, params.heads)
-    a = ad.sigmoid(params.gate)
+    fine_out, fine_att = multi_head_attention(
+        scaled, *(p[f"fine.{nm}"] for nm in ATTENTION_WEIGHTS), params.heads)
+    a = ad.sigmoid(p["gate"])
     fused = ad.add(ad.mul(coarse_out, a),
                    ad.mul(fine_out, ad.add_const(ad.scale(a, -1.0), 1.0)))
     pooled = ad.mean_axis(fused, axis=1)
     normed = ad.l2_normalize_rows(pooled)
-    logits = ad.add(ad.matmul(normed, params.classifier.w), params.classifier.b)
+    logits = ad.add(ad.matmul(normed, p["cls.w"]), p["cls.b"])
     return ModelOutput(logits=logits, token_keys=keys, beta=beta,
                        coarse_attention=coarse_att, fine_attention=fine_att)
 
@@ -288,7 +259,7 @@ def gamma_table(cache: MessageCache,
                 params: ModelParams) -> list[tuple[str, int, float]]:
     """(token, hop, weight) rows in token order; label tokens end ':label'."""
     return [(token.key, hop.step, float(w)) for token in token_layout(cache)
-            for hop, w in zip(token.hops, params.gamma[token.gamma].data)]
+            for hop, w in zip(token.hops, params.tensors[token.gamma].data)]
 
 
 def beta_table(output: ModelOutput) -> list[tuple[str, float]]:
@@ -298,7 +269,10 @@ def beta_table(output: ModelOutput) -> list[tuple[str, float]]:
 
 
 def save_checkpoint(params: ModelParams, config: dict, path) -> None:
-    """Write parameters and a config echo to the binary checkpoint format."""
+    """Write parameters and a config echo to the binary checkpoint format.
+
+    Values are stored as float32, whatever precision the model trained in.
+    """
     tensors = params.all_parameters()
     cfg = json.dumps(config, sort_keys=True).encode()
     with open(Path(path), "wb") as f:

@@ -28,6 +28,7 @@ rewired relations become sparse once, at the end of a run.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -203,7 +204,8 @@ def generate_toy(spec: ToySpec) -> HeteroGraph:
     mean.  Hubs are class-pure and wiring is seeded at roughly the
     requested homophily, then rewired until the measured graph-level
     ratio lands within spec.tolerance (skipped when only one class
-    exists, where the ratio is 1 by definition).
+    exists, where the ratio is 1 by definition).  A graph still off
+    target after spec.max_rewire draws is returned with a RuntimeWarning.
     """
     if spec.num_types not in (2, 3):
         raise ValueError("num_types must be 2 or 3")
@@ -318,4 +320,9 @@ def generate_toy(spec: ToySpec) -> HeteroGraph:
         target_h=spec.homophily, seed=spec.seed + 1,
         max_iterations=spec.max_rewire, tolerance=spec.tolerance,
         depth=spec.homophily_depth))
+    if not result.converged:
+        warnings.warn(f"generate_toy stopped off target: homophily "
+                      f"{result.achieved:.4f}, target {spec.homophily} +/- "
+                      f"{spec.tolerance}, after {result.iterations} draws",
+                      RuntimeWarning, stacklevel=2)
     return result.graph

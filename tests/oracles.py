@@ -232,7 +232,7 @@ def graphs_identical(a: HeteroGraph, b: HeteroGraph) -> bool:
             and np.array_equal(a.splits, b.splits)):
         return False
     return set(a.relations) == set(b.relations) and all(
-        a.relations[p].allclose(b.relations[p]) for p in a.relations)
+        a.relations[p] == b.relations[p] for p in a.relations)
 
 
 def random_typed_graph(seed: int, max_nodes: int = 30) -> HeteroGraph:
@@ -423,16 +423,16 @@ def oracle_rewire_to_homophily(graph: HeteroGraph, spec) -> RewireResult:
                         proposals=proposals, trajectory=trajectory)
 
 
-def oracle_multi_head_attention(tokens, attn, heads: int):
+def oracle_multi_head_attention(tokens, wq, wk, wv, wo, heads: int):
     """Attention one head at a time, slicing the projections per head.
 
     Returns the output (N, S, d) and the list of per-head (N, S, S) maps.
     """
     d = tokens.shape[-1]
     dh = d // heads
-    q = ad.matmul(tokens, attn.wq)
-    k = ad.matmul(tokens, attn.wk)
-    v = ad.matmul(tokens, attn.wv)
+    q = ad.matmul(tokens, wq)
+    k = ad.matmul(tokens, wk)
+    v = ad.matmul(tokens, wv)
     outs, atts = [], []
     for h in range(heads):
         lo, hi = h * dh, (h + 1) * dh
@@ -443,7 +443,7 @@ def oracle_multi_head_attention(tokens, attn, heads: int):
         att = ad.row_softmax(scores)
         atts.append(att)
         outs.append(ad.matmul(att, ad.slice_last(v, lo, hi)))
-    return ad.matmul(ad.concat(outs, axis=-1), attn.wo), atts
+    return ad.matmul(ad.concat(outs, axis=-1), wo), atts
 
 
 def oracle_head_diversity(atts):
@@ -526,6 +526,53 @@ def oracle_train_history(graph: HeteroGraph, cache, config) -> list[EpochRow]:
     return history
 
 
+def oracle_init_params(cache, hidden: int, alpha: float, rng, dtype,
+                       fix_gamma: bool, num_classes: int):
+    """ahgnn.model.init_model_params' table as (name, array, trainable) rows.
+
+    Names come from the cache's per-path hop lists, not from
+    `token_layout`.  Rows: the hop weights of every feature path, then
+    every label path, each sorted; each projection's `.w`/`.b` at the
+    first path that reads it; `coarse.`/`fine.` `wq wk wv wo`; `gate`;
+    `cls.w`/`cls.b`.  Glorot weights are drawn from rng in that order.
+    """
+    feats, labs = cache.feature_entries, cache.label_entries
+    paths = [(f"gamma.{key}", feats[key],
+              ["fproj." + "-".join(key.split("-")[: l + 1])
+               for l in range(len(feats[key]))]) for key in sorted(feats)]
+    paths += [(f"lgamma.{key}", labs[key],
+               [f"lproj.{key}.{h}"
+                for h in label_hop_indices(key, cache.target_type)])
+              for key in sorted(labs)]
+    rows = []
+    for name, hops, _ in paths:
+        n = len(hops)
+        g = np.ones(n) if fix_gamma else np.array(
+            [alpha * (1.0 - alpha) ** l for l in range(n - 1)]
+            + [(1.0 - alpha) ** (n - 1)])
+        rows.append((name, g.astype(dtype), not fix_gamma))
+
+    def glorot(name, fan_in, fan_out):
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        w = rng.uniform(-limit, limit, size=(fan_in, fan_out))
+        rows.append((name, w.astype(dtype), True))
+
+    drawn = set()
+    for _, hops, projections in paths:
+        for hop, proj in zip(hops, projections, strict=True):
+            if proj not in drawn:
+                drawn.add(proj)
+                glorot(f"{proj}.w", hop.shape[1], hidden)
+                rows.append((f"{proj}.b", np.zeros(hidden, dtype=dtype), True))
+    for side in ("coarse", "fine"):
+        for nm in ("wq", "wk", "wv", "wo"):
+            glorot(f"{side}.{nm}", hidden, hidden)
+    rows.append(("gate", np.zeros((), dtype=dtype), True))
+    glorot("cls.w", hidden, num_classes)
+    rows.append(("cls.b", np.zeros(num_classes, dtype=dtype), True))
+    return rows
+
+
 def oracle_path_embeddings(cache, params):
     """ahgnn.model.path_embeddings projecting hop by hop, path by path.
 
@@ -533,11 +580,13 @@ def oracle_path_embeddings(cache, params):
     a prefix shared by k paths is projected k times.
     """
     target = cache.target_type
+    p = params.tensors
 
-    def mixed(hops, lins, g):
+    def mixed(hops, names, g):
         acc = None
-        for j, (s, lin) in enumerate(zip(hops, lins)):
-            proj = ad.add(ad.matmul(ad.constant(s), lin.w), lin.b)
+        for j, (s, name) in enumerate(zip(hops, names)):
+            proj = ad.add(ad.matmul(ad.constant(s), p[f"{name}.w"]),
+                          p[f"{name}.b"])
             term = ad.mul(proj, ad.index1d(g, j))
             acc = term if acc is None else ad.add(acc, term)
         return acc
@@ -546,16 +595,14 @@ def oracle_path_embeddings(cache, params):
     feats = cache.feature_entries
     for key in sorted(feats):
         types = key.split("-")
-        lins = [params.projections["fproj." + "-".join(types[: l + 1])]
-                for l in range(len(types))]
+        names = ["fproj." + "-".join(types[: l + 1]) for l in range(len(types))]
         keys.append(key)
-        embs.append(mixed(feats[key], lins, params.gamma[f"gamma.{key}"]))
+        embs.append(mixed(feats[key], names, p[f"gamma.{key}"]))
     labs = cache.label_entries
     for key in sorted(labs):
-        lins = [params.projections[f"lproj.{key}.{hop}"]
-                for hop in label_hop_indices(key, target)]
+        names = [f"lproj.{key}.{hop}" for hop in label_hop_indices(key, target)]
         keys.append(f"{key}:label")
-        embs.append(mixed(labs[key], lins, params.gamma[f"lgamma.{key}"]))
+        embs.append(mixed(labs[key], names, p[f"lgamma.{key}"]))
     return keys, embs
 
 

@@ -5,7 +5,7 @@ import pytest
 
 import ahgnn.autodiff as ad
 from ahgnn.autodiff import Tape, Tensor, grad_check
-from ahgnn.model import AttentionParams, multi_head_attention
+from ahgnn.model import multi_head_attention
 from ahgnn.train import head_diversity
 
 from oracles import (oracle_head_diversity, oracle_multi_head_attention,
@@ -158,10 +158,9 @@ def test_head_pair_kl_clamped_entries_get_zero_grad():
 def test_batched_heads_match_per_head_oracles(heads):
     rng = np.random.default_rng(20 + heads)
     tokens = t(rng.normal(size=(5, 4, 12)))
-    attn = AttentionParams(*(t(rng.normal(size=(12, 12)) * 0.5)
-                             for _ in range(4)))
+    attn = [t(rng.normal(size=(12, 12)) * 0.5) for _ in range(4)]
     w = rng.normal(size=(5, 4, 12))
-    leaves = [tokens, attn.wq, attn.wk, attn.wv, attn.wo]
+    leaves = [tokens, *attn]
 
     def run(forward, diversity):
         for leaf in leaves:
@@ -174,9 +173,9 @@ def test_batched_heads_match_per_head_oracles(heads):
         return out, att, div, [leaf.grad for leaf in leaves]
 
     out, att, div, grads = run(
-        lambda: multi_head_attention(tokens, attn, heads), head_diversity)
+        lambda: multi_head_attention(tokens, *attn, heads), head_diversity)
     o_out, o_atts, o_div, o_grads = run(
-        lambda: oracle_multi_head_attention(tokens, attn, heads),
+        lambda: oracle_multi_head_attention(tokens, *attn, heads),
         oracle_head_diversity)
     assert att.shape == (5, heads, 4, 4)
     tol = dict(rtol=1e-12, atol=1e-12)

@@ -4,18 +4,19 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 import ahgnn
-from ahgnn.cli import default_cache_path, dispatch
+from ahgnn.cli import build_parser, default_cache_path, dispatch
 from ahgnn.graph import load_dataset, save_dataset
 from ahgnn.model import (load_checkpoint, model_forward, predict_logits,
                          restore_model_params, save_checkpoint)
 from ahgnn.propagate import build_cache, write_cache
-from ahgnn.synth import ToySpec, generate_toy
-from ahgnn.train import evaluate
+from ahgnn.synth import RewireSpec, ToySpec, generate_toy
+from ahgnn.train import TrainConfig, evaluate
 from conftest import REPO_ROOT, checkout_env
 from oracles import write_cache_v1
 
@@ -489,3 +490,24 @@ def test_console_script_on_path_runs():
                           text=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout.startswith("ahgnn ")
+
+
+def test_flag_defaults_are_the_library_defaults():
+    # run.json of a default invocation records these, so they must not drift
+    parser = build_parser()
+    cfg = TrainConfig()
+    tr = vars(parser.parse_args(["train", "--data", "d"]))
+    renamed = {"epochs": "max_epochs", "fix_gamma": "fix_gamma_uniform"}
+    flags = {renamed.get(d, d): v for d, v in tr.items()
+             if d not in ("data", "cache", "out", "subcommand", "handler")}
+    assert flags == asdict(cfg)
+    pc = parser.parse_args(["precompute", "--data", "d"])
+    assert (pc.l1, pc.l2) == (cfg.l1, cfg.l2)
+    sy = vars(parser.parse_args(["synth", "--out", "o"]))
+    spec = ToySpec()
+    for f in ("homophily", "n_target", "n_aux", "num_types", "num_classes",
+              "feature_dim", "edges_per_node", "seed"):
+        assert sy[f] == getattr(spec, f), f
+    rewire = RewireSpec(target_h=spec.homophily)
+    assert sy["tolerance"] == rewire.tolerance
+    assert sy["max_iterations"] == rewire.max_iterations

@@ -5,7 +5,7 @@ import pytest
 
 import ahgnn.autodiff as ad
 from ahgnn.autodiff import Tensor
-from ahgnn.model import (AttentionParams, CheckpointError, beta_table,
+from ahgnn.model import (ATTENTION_WEIGHTS, CheckpointError, beta_table,
                          gamma_table, influence_factors, init_gamma,
                          init_model_params, load_checkpoint, model_forward,
                          multi_head_attention, path_embeddings,
@@ -15,7 +15,8 @@ from ahgnn.propagate import (MessageCache, build_cache, propagate_features,
                              propagate_labels)
 from ahgnn.synth import ToySpec, generate_toy
 from ahgnn.train import training_loss
-from oracles import oracle_path_embeddings, random_typed_graph
+from oracles import (oracle_init_params, oracle_path_embeddings,
+                     random_typed_graph)
 
 
 def small_setup(dtype=np.float64, hidden=8, heads=2, l1=2, l2=2, seed=0,
@@ -70,6 +71,29 @@ def test_init_params_shapes_and_names():
         assert tsr.name == name
 
 
+@pytest.mark.parametrize("num_types", [2, 3])
+@pytest.mark.parametrize("fix_gamma", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_init_params_match_oracle_table(num_types, fix_gamma, dtype):
+    # pins the table order and the rng draw order a checkpoint relies on
+    g = generate_toy(ToySpec(n_target=12, n_aux=6, num_types=num_types,
+                             num_classes=3, homophily=1.0, feature_dim=3,
+                             edges_per_node=2, seed=0))
+    cache = build_cache(g, 3, 4).astype(dtype)
+    params = init_model_params(cache, hidden=8, heads=2, alpha=0.3,
+                               rng=np.random.default_rng(4), dtype=dtype,
+                               fix_gamma=fix_gamma, num_classes=3)
+    rows = oracle_init_params(cache, 8, 0.3, np.random.default_rng(4), dtype,
+                              fix_gamma, 3)
+    named = params.all_parameters()
+    assert list(named) == [name for name, _, _ in rows]
+    for name, ref, trainable in rows:
+        t = named[name]
+        assert t.name == name and t.requires_grad is trainable, name
+        assert t.data.dtype == ref.dtype == dtype, name
+        assert t.data.shape == ref.shape and t.data.tobytes() == ref.tobytes(), name
+
+
 def test_hidden_must_divide_heads():
     _, cache, _ = small_setup()
     with pytest.raises(ValueError, match="multiple of"):
@@ -79,19 +103,19 @@ def test_hidden_must_divide_heads():
 
 def test_fix_gamma_pins_ones_and_freezes():
     _, cache, params = small_setup(fix_gamma=True)
-    for tsr in params.gamma.values():
+    for tsr in (params.tensors[t.gamma] for t in token_layout(cache)):
         np.testing.assert_array_equal(tsr.data, np.ones_like(tsr.data))
         assert tsr.requires_grad is False
 
 
 def test_one_hot_gamma_selects_single_hop():
     _, cache, params = small_setup()
-    params.gamma["gamma.A-B-A"].data = np.array([0.0, 0.0, 1.0])
+    params.tensors["gamma.A-B-A"].data = np.array([0.0, 0.0, 1.0])
     keys, embs = path_embeddings(cache, params)
     i = keys.index("A-B-A")
     s = cache.feature_entries["A-B-A"][2]
-    lin = params.projections["fproj.A-B-A"]
-    np.testing.assert_allclose(embs[i].data, s @ lin.w.data + lin.b.data,
+    w, b = (params.tensors[f"fproj.A-B-A.{p}"].data for p in "wb")
+    np.testing.assert_allclose(embs[i].data, s @ w + b,
                                rtol=1e-12, atol=1e-14)
 
 
@@ -99,8 +123,7 @@ def test_prefix_projection_is_shared():
     _, cache, params = small_setup()
     before = {k: e.data.copy()
               for k, e in zip(*path_embeddings(cache, params))}
-    params.projections["fproj.A-B"].w.data = \
-        params.projections["fproj.A-B"].w.data + 1.0
+    params.tensors["fproj.A-B.w"].data = params.tensors["fproj.A-B.w"].data + 1.0
     after = {k: e.data.copy()
              for k, e in zip(*path_embeddings(cache, params))}
     # hop 1 of A-B and hop 1 of A-B-A both read the "A-B" projection
@@ -219,8 +242,8 @@ def test_attention_hand_example_one_dim_heads():
     # one head, width 1: weights all [[1]]; tokens per node [x, y]
     x, y = 0.8, -0.3
     tokens = Tensor(np.array([[[x], [y]]]))
-    attn = AttentionParams(*(Tensor(np.ones((1, 1))) for _ in range(4)))
-    out, atts = multi_head_attention(tokens, attn, heads=1)
+    attn = [Tensor(np.ones((1, 1))) for _ in range(4)]
+    out, atts = multi_head_attention(tokens, *attn, heads=1)
     def soft(a, b):
         ea, eb = math.exp(a), math.exp(b)
         return ea / (ea + eb), eb / (ea + eb)
@@ -234,11 +257,11 @@ def test_attention_hand_example_one_dim_heads():
 def test_attention_single_token_is_identity_mass():
     rng = np.random.default_rng(3)
     tokens = Tensor(rng.normal(size=(4, 1, 6)))
-    attn = AttentionParams(*(Tensor(rng.normal(size=(6, 6))) for _ in range(4)))
-    out, atts = multi_head_attention(tokens, attn, heads=2)
+    wq, wk, wv, wo = (Tensor(rng.normal(size=(6, 6))) for _ in range(4))
+    out, atts = multi_head_attention(tokens, wq, wk, wv, wo, heads=2)
     assert atts.shape == (4, 2, 1, 1)
     np.testing.assert_allclose(atts.data, 1.0, atol=1e-12)
-    expected = tokens.data @ attn.wv.data @ attn.wo.data
+    expected = tokens.data @ wv.data @ wo.data
     np.testing.assert_allclose(out.data, expected, rtol=1e-10, atol=1e-12)
 
 
@@ -246,8 +269,8 @@ def test_attention_identical_tokens_uniform_rows():
     rng = np.random.default_rng(4)
     one = rng.normal(size=6)
     tokens = Tensor(np.tile(one, (3, 5, 1)))
-    attn = AttentionParams(*(Tensor(rng.normal(size=(6, 6))) for _ in range(4)))
-    _, atts = multi_head_attention(tokens, attn, heads=3)
+    attn = [Tensor(rng.normal(size=(6, 6))) for _ in range(4)]
+    _, atts = multi_head_attention(tokens, *attn, heads=3)
     assert atts.shape == (3, 3, 5, 5)
     np.testing.assert_allclose(atts.data, 0.2, atol=1e-12)
 
@@ -261,9 +284,9 @@ def test_attention_rows_sum_to_one():
 
 def test_attention_rejects_non_finite_tokens():
     tokens = Tensor(np.array([[[np.nan], [1.0]]]))
-    attn = AttentionParams(*(Tensor(np.ones((1, 1))) for _ in range(4)))
+    attn = [Tensor(np.ones((1, 1))) for _ in range(4)]
     with pytest.raises(FloatingPointError, match="non-finite"):
-        multi_head_attention(tokens, attn, heads=1)
+        multi_head_attention(tokens, *attn, heads=1)
 
 
 def test_influence_factors_hand_example():
@@ -278,31 +301,36 @@ def test_influence_factors_sum_to_one():
     np.testing.assert_allclose(out.beta.data.sum(axis=1), 1.0, atol=1e-9)
 
 
+def _attend(tokens, params, side):
+    return multi_head_attention(
+        tokens, *(params.tensors[f"{side}.{nm}"] for nm in ATTENTION_WEIGHTS),
+        params.heads)
+
+
 def test_fine_attention_runs_on_influence_scaled_tokens():
     _, cache, params = small_setup()
     out = model_forward(cache, params)
     keys, embs = path_embeddings(cache, params)
     tokens = assemble_tokens(embs)
     scaled = Tensor(tokens.data * out.beta.data[:, :, None])
-    _, expect_att = multi_head_attention(scaled, params.fine, params.heads)
+    _, expect_att = _attend(scaled, params, "fine")
     np.testing.assert_allclose(out.fine_attention.data, expect_att.data,
                                rtol=1e-12, atol=1e-14)
 
 
 def test_gate_zero_averages_the_two_levels():
     _, cache, params = small_setup()
-    assert float(params.gate.data) == 0.0  # fresh gate => sigmoid 0.5
+    assert float(params.tensors["gate"].data) == 0.0  # fresh => sigmoid 0.5
     keys, embs = path_embeddings(cache, params)
     tokens = assemble_tokens(embs)
-    coarse_out, coarse_att = multi_head_attention(tokens, params.coarse,
-                                                  params.heads)
+    coarse_out, coarse_att = _attend(tokens, params, "coarse")
     beta = influence_factors(coarse_att)
     scaled = Tensor(tokens.data * beta.data[:, :, None])
-    fine_out, _ = multi_head_attention(scaled, params.fine, params.heads)
+    fine_out, _ = _attend(scaled, params, "fine")
     fused = 0.5 * coarse_out.data + 0.5 * fine_out.data
     pooled = fused.mean(axis=1)
     normed = pooled / np.linalg.norm(pooled, axis=1, keepdims=True)
-    logits = normed @ params.classifier.w.data + params.classifier.b.data
+    logits = normed @ params.tensors["cls.w"].data + params.tensors["cls.b"].data
     np.testing.assert_allclose(model_forward(cache, params).logits.data,
                                logits, rtol=1e-10, atol=1e-12)
 

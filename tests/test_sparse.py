@@ -137,6 +137,15 @@ def test_transpose_and_sums():
     np.testing.assert_array_equal(a.col_sums(), [2.0, 0.0, 4.0])
 
 
+def test_equality_is_exact_on_canonical_arrays():
+    a = SparseMatrix.from_coo(2, 3, [1, 0, 1], [2, 2, 2], [1.0, 2.0, 3.0])
+    assert a == SparseMatrix.from_coo(2, 3, [0, 1], [2, 2], [2.0, 4.0])
+    assert a != SparseMatrix.from_coo(2, 3, [0, 1], [2, 2],
+                                      [2.0, np.nextafter(4.0, 5.0)])
+    assert a != SparseMatrix.from_coo(2, 4, [0, 1], [2, 2], [2.0, 4.0])
+    assert a != SparseMatrix.from_coo(2, 3, [0, 1], [1, 2], [2.0, 4.0])
+
+
 def test_identity_and_empty():
     assert SparseMatrix.identity(4).nnz == 4
     e = SparseMatrix.empty(3, 5)

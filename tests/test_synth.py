@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -47,7 +48,7 @@ def test_toy_shapes_and_invariants():
     assert g.train_mask.sum() + g.val_mask.sum() + g.test_mask.sum() == 30
     # both directions of every relation are materialized and consistent
     for (a, b), m in g.relations.items():
-        assert m.allclose(g.relations[(b, a)].transpose())
+        assert m == g.relations[(b, a)].transpose()
 
 
 def test_toy_starts_class_pure():
@@ -67,6 +68,22 @@ def test_toy_reaches_requested_homophily(target):
     g = generate_toy(spec)
     h = graph_homophily(g, spec.homophily_depth)
     assert abs(h - target) <= spec.tolerance
+
+
+def test_toy_warns_when_it_stops_off_target():
+    spec = ToySpec(n_target=40, n_aux=12, num_classes=3, homophily=0.2,
+                   max_rewire=20, seed=0)
+    with pytest.warns(RuntimeWarning, match=r"homophily 0\.3161, target 0\.2 "
+                      r"\+/- 0\.02, after 20 draws"):
+        g = generate_toy(spec)
+    assert abs(graph_homophily(g, spec.homophily_depth) - 0.2) > spec.tolerance
+
+
+def test_toy_on_target_warns_nothing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = generate_toy(small_spec(homophily=0.4))
+    assert abs(graph_homophily(g, 4) - 0.4) <= 0.03
 
 
 def test_toy_is_deterministic_per_seed():
@@ -125,7 +142,7 @@ def test_rewire_already_on_target_is_a_no_op():
     assert res.converged and res.accepted == 0
     assert res.trajectory == [pytest.approx(1.0, abs=1e-12)]
     for pair in g.relations:
-        assert res.graph.relations[pair].allclose(g.relations[pair])
+        assert res.graph.relations[pair] == g.relations[pair]
 
 
 def test_rewire_rejects_bad_target_and_fractional_weights():

@@ -8,6 +8,7 @@ import pytest
 
 import ahgnn.autodiff as ad
 from ahgnn.autodiff import Tensor
+from ahgnn.model import token_layout
 from ahgnn.propagate import build_cache
 from ahgnn.synth import ToySpec, generate_toy
 from ahgnn.train import (Adam, Metrics, TrainConfig, evaluate, f1_scores,
@@ -592,14 +593,14 @@ def test_train_requires_labeled_splits():
 def test_fix_gamma_stays_uniform_through_training():
     g, cache = tiny_graph()
     res = train(g, cache, tiny_config(max_epochs=4, fix_gamma_uniform=True))
-    for tsr in res.params.gamma.values():
+    for tsr in (res.params.tensors[t.gamma] for t in token_layout(cache)):
         np.testing.assert_array_equal(tsr.data, np.ones_like(tsr.data))
 
 
 def test_f64_training_runs():
     g, cache = tiny_graph()
     res = train(g, cache, tiny_config(max_epochs=3, precision="f64"))
-    assert res.params.gate.data.dtype == np.float64
+    assert res.params.tensors["gate"].data.dtype == np.float64
     assert len(res.history) == 3
 
 
