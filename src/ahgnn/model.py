@@ -14,28 +14,36 @@ runs all heads as one batched product, and its attention maps are one
 (N, H, S, S) tensor: nodes, heads, query tokens, key tokens.  No node
 sees another, so a forward pass over a subset of rows gives exactly
 those rows of the full pass.
+
+A checkpoint (version 2) is the message cache's container
+(`propagate.write_arrays`) with meta {config, params}, the parameter
+names sorted, then one float32 array per name: values are stored as
+float32 whatever precision the model trained in.
 """
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .propagate import MessageCache, label_hop_indices, prefix_key
+from .propagate import (ArrayFile, MessageCache, label_hop_indices, prefix_key,
+                        read_arrays, write_arrays)
 
 CHECKPOINT_MAGIC = b"AHGM"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(ValueError):
     """Raised for unreadable or mismatched checkpoint files."""
+
+
+CHECKPOINT_FILE = ArrayFile(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint",
+                            "ahgnn train", CheckpointError, "<f4", ("config",),
+                            ("params",))
 
 
 def init_gamma(alpha: float, hops: int) -> np.ndarray:
@@ -269,62 +277,20 @@ def beta_table(output: ModelOutput) -> list[tuple[str, float]]:
 
 
 def save_checkpoint(params: ModelParams, config: dict, path) -> None:
-    """Write parameters and a config echo to the binary checkpoint format.
+    """Write the parameter table and a config echo to a checkpoint file.
 
     Values are stored as float32, whatever precision the model trained in.
     """
     tensors = params.all_parameters()
-    cfg = json.dumps(config, sort_keys=True).encode()
-    with open(Path(path), "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<II", CHECKPOINT_VERSION, len(cfg)))
-        f.write(cfg)
-        f.write(struct.pack("<I", len(tensors)))
-        for name in sorted(tensors):
-            # asarray keeps 0-d shapes; ascontiguousarray would promote to 1-d
-            arr = np.asarray(tensors[name].data, dtype="<f4", order="C")
-            nb = name.encode()
-            f.write(struct.pack("<I", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<I", arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(arr.tobytes())
+    names = sorted(tensors)
+    write_arrays(path, CHECKPOINT_FILE, {"config": config, "params": names},
+                 [tensors[name].data for name in names])
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
-    path = Path(path)
-    if not path.is_file():
-        raise CheckpointError(f"checkpoint file {path} not found")
-    data = path.read_bytes()
-    pos = 0
-
-    def take(n: int) -> bytes:
-        nonlocal pos
-        if pos + n > len(data):
-            raise CheckpointError(f"checkpoint {path.name} is truncated")
-        out = data[pos:pos + n]
-        pos += n
-        return out
-
-    if take(4) != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path.name} is not a model checkpoint (bad magic)")
-    version, cfg_len = struct.unpack("<II", take(8))
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    config = json.loads(take(cfg_len).decode())
-    (n_params,) = struct.unpack("<I", take(4))
-    arrays: dict[str, np.ndarray] = {}
-    for _ in range(n_params):
-        (name_len,) = struct.unpack("<I", take(4))
-        name = take(name_len).decode()
-        (ndim,) = struct.unpack("<I", take(4))
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-        count = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(take(4 * count), dtype="<f4")
-        arrays[name] = arr.reshape(shape).astype(np.float32)
-    if pos != len(data):
-        raise CheckpointError(f"checkpoint {path.name} has trailing bytes")
-    return config, arrays
+    """The config echo and the float32 parameter arrays, by name."""
+    meta, arrays = read_arrays(path, CHECKPOINT_FILE)
+    return meta["config"], dict(zip(meta["params"], arrays))
 
 
 def restore_model_params(arrays: dict[str, np.ndarray], cache: MessageCache,

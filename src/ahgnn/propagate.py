@@ -15,19 +15,26 @@ walk product Â_P is formed.  There is no label hop 0, the identity, but
 closed walks (the diagonal of a target-to-target Â_P) still carry a
 train node's own label into its label messages.
 
-Cache file, version 3, little-endian: magic, u32 version, u64 dataset
-fingerprint (`HeteroGraph.fingerprint`: manifest and arrays), u32 l1,
-u32 l2, u32 count, then per message (features, then labels, each in key
-order) u8 kind (0 feature, 1 label), u32 key length, key, u32 rows,
-u32 cols, rows*cols f64.  Every message has one row per target node, and
-every label message one column per class.
+Cache and checkpoint files share one container (`write_arrays`,
+`read_arrays`), little-endian: 4-byte magic, u32 version, u32 meta
+length, the meta as sort_keys JSON, then each array as one .npy record
+(format 1.0, C order, no pickles).  The cache, version 4, has meta
+{fingerprint (`HeteroGraph.fingerprint`: manifest and arrays), l1, l2,
+features, labels}, the last two its path keys in sorted order, then one
+(N, cols) float64 array per feature key and then per label key.  Every
+message has one row per target node, and every label message one column
+per class.
 """
 
 from __future__ import annotations
 
+import json
+import math
+import re
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,11 +43,101 @@ from .metapath import MetaPath, PathProducts, enumerate_metapaths
 from .sparse import spmm
 
 CACHE_MAGIC = b"AHGC"
-CACHE_VERSION = 3
+CACHE_VERSION = 4
+# what np.lib.format.write_array puts before a C-order array, format 1.0,
+# after its magic and u16 header length
+NPY_MAGIC = b"\x93NUMPY\x01\x00"
+NPY_HEADER = re.compile(rb"\{'descr': '([^']*)', 'fortran_order': False, "
+                        rb"'shape': \((\d+,|\d+(?:, \d+)+|)\), \} *\n")
 
 
 class CacheError(ValueError):
     """Raised for unreadable, truncated, or stale cache files."""
+
+
+class ArrayFile(NamedTuple):
+    """A file type of the shared container, and what reading it checks."""
+
+    magic: bytes
+    version: int
+    kind: str                # names the file type in messages
+    remake: str              # the command that writes a current file
+    error: type[ValueError]  # raised for every unreadable file
+    dtype: str               # of every array
+    fields: tuple[str, ...]  # meta fields besides `names`
+    names: tuple[str, ...]   # meta fields listing the arrays, in file order
+
+
+CACHE_FILE = ArrayFile(CACHE_MAGIC, CACHE_VERSION, "cache", "ahgnn precompute",
+                       CacheError, "<f8", ("fingerprint", "l1", "l2"),
+                       ("features", "labels"))
+
+
+def write_arrays(path, spec: ArrayFile, meta: dict, arrays) -> None:
+    """Write `meta`, then `arrays` as `spec.dtype`, in the shared container."""
+    head = json.dumps(meta, sort_keys=True).encode()
+    with open(Path(path), "wb") as f:
+        f.write(spec.magic + struct.pack("<II", spec.version, len(head)) + head)
+        for a in arrays:  # asarray copies no C-ordered spec.dtype array
+            np.lib.format.write_array(f, np.asarray(a, spec.dtype, order="C"),
+                                      version=(1, 0), allow_pickle=False)
+
+
+def read_arrays(path, spec: ArrayFile) -> tuple[dict, list[np.ndarray]]:
+    """The meta and the arrays of a `write_arrays` file of type `spec`.
+
+    An array's byte count is checked against the bytes left in the file
+    before anything is allocated for it.  A malformed file raises
+    `spec.error` naming it.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise spec.error(f"{spec.kind} file {path} not found")
+    name, size = f"{spec.kind} file {path.name}", path.stat().st_size
+    with open(path, "rb") as f:
+
+        def take(n: int) -> bytes:  # allocates nothing past the end
+            if n > size - f.tell():
+                raise spec.error(f"{name} is truncated")
+            return f.read(n)
+
+        head = take(12)
+        if head[:4] != spec.magic:
+            raise spec.error(f"{path.name} is not a {spec.kind} file (bad magic)")
+        version, meta_len = struct.unpack("<II", head[4:])
+        if version != spec.version:
+            raise spec.error(f"{path.name} is a version {version} {spec.kind}; "
+                             f"this build reads version {spec.version}: "
+                             f"regenerate with `{spec.remake}`")
+        try:
+            meta = json.loads(take(meta_len))
+        except ValueError:
+            meta = None
+        if not isinstance(meta, dict) or \
+                not meta.keys() >= {*spec.fields, *spec.names}:
+            raise spec.error(f"{name}: meta is not a JSON object with fields "
+                             f"{spec.fields + spec.names}")
+        names = [meta[k] for k in spec.names]
+        if not all(isinstance(v, list) and all(isinstance(k, str) for k in v)
+                   and len(set(v)) == len(v) for v in names):
+            raise spec.error(f"{name}: meta fields {spec.names} must list "
+                             "distinct names")
+        arrays = []
+        for i in range(sum(map(len, names))):
+            pre = take(10)
+            match = NPY_HEADER.fullmatch(take(struct.unpack("<H", pre[8:])[0]))
+            if pre[:8] != NPY_MAGIC or not match or match[1] != spec.dtype.encode():
+                raise spec.error(f"{name}: array {i} is not a C-order "
+                                 f"{spec.dtype} array in .npy format 1.0")
+            shape = tuple(int(n) for n in match[2].split(b",") if n)
+            if math.prod(shape) * np.dtype(spec.dtype).itemsize > size - f.tell():
+                raise spec.error(f"{name} is truncated: array {i} of shape "
+                                 f"{shape} runs past the end")
+            arrays.append(np.empty(shape, spec.dtype))
+            f.readinto(arrays[-1].data)
+        if f.tell() != size:
+            raise spec.error(f"{name} has trailing bytes")
+    return meta, arrays
 
 
 def prefix_key(key: str, hop: int) -> str:
@@ -114,10 +211,9 @@ def train_label_matrix(graph: HeteroGraph) -> np.ndarray:
     return y
 
 
-def _messages(graph: HeteroGraph, paths: list[MetaPath],
+def _messages(steps: PathProducts, paths: list[MetaPath],
               operands: dict) -> dict[str, np.ndarray]:
     """Â_P @ operands[P's last type] per path, shortest suffixes first."""
-    steps = PathProducts(graph, normalized=True)
     memo = {(t,): x for t, x in operands.items()}
     for n in range(2, max((len(p.types) for p in paths), default=0) + 1):
         for s in sorted({p.types[-n:] for p in paths if len(p.types) >= n}):
@@ -126,15 +222,21 @@ def _messages(graph: HeteroGraph, paths: list[MetaPath],
             for p in paths}
 
 
-def propagate_features(graph: HeteroGraph, l1: int) -> dict[str, np.ndarray]:
-    """Feature message of every path of 0..l1 steps from the target."""
+def propagate_features(graph: HeteroGraph, l1: int,
+                       steps: PathProducts | None = None) -> dict[str, np.ndarray]:
+    """Feature message of every path of 0..l1 steps from the target.
+
+    `steps` holds the normalized relations (default: a fresh one).
+    """
     if l1 < 1:
         raise ValueError("l1 must be >= 1")
     paths = enumerate_metapaths(graph.schema(), graph.target_type, l1)
-    return _messages(graph, paths, graph.features)
+    return _messages(steps or PathProducts(graph, normalized=True), paths,
+                     graph.features)
 
 
-def propagate_labels(graph: HeteroGraph, l2: int) -> dict[str, np.ndarray]:
+def propagate_labels(graph: HeteroGraph, l2: int,
+                     steps: PathProducts | None = None) -> dict[str, np.ndarray]:
     """Propagated one-hot train labels of every target-returning path."""
     if l2 < 1:
         raise ValueError("l2 must be >= 1")
@@ -143,37 +245,29 @@ def propagate_labels(graph: HeteroGraph, l2: int) -> dict[str, np.ndarray]:
     target = graph.target_type
     paths = enumerate_metapaths(graph.schema(), target, l2, end=target,
                                 include_trivial=False)
-    return _messages(graph, paths, {target: train_label_matrix(graph)})
+    return _messages(steps or PathProducts(graph, normalized=True), paths,
+                     {target: train_label_matrix(graph)})
 
 
 def build_cache(graph: HeteroGraph, l1: int, l2: int,
                 threads: int = 1) -> MessageCache:
     """Build every message serially; `threads` is accepted and ignored."""
+    steps = PathProducts(graph, normalized=True)  # normalizes each relation once
     return MessageCache(
         l1=l1, l2=l2, fingerprint=graph.fingerprint,
-        feature_messages=propagate_features(graph, l1),
-        label_messages=propagate_labels(graph, l2),
+        feature_messages=propagate_features(graph, l1, steps),
+        label_messages=propagate_labels(graph, l2, steps),
     )
 
 
 def write_cache(cache: MessageCache, path) -> None:
-    """Serialize messages to the binary cache format (deterministic bytes)."""
-    entries = [(0, k, cache.feature_messages[k])
-               for k in sorted(cache.feature_messages)]
-    entries += [(1, k, cache.label_messages[k])
-                for k in sorted(cache.label_messages)]
-    with open(Path(path), "wb") as f:
-        f.write(CACHE_MAGIC)
-        f.write(struct.pack("<IQII", CACHE_VERSION, cache.fingerprint,
-                            cache.l1, cache.l2))
-        f.write(struct.pack("<I", len(entries)))
-        for kind, key, m in entries:
-            kb = key.encode()
-            arr = np.ascontiguousarray(m, dtype="<f8")
-            f.write(struct.pack("<BI", kind, len(kb)))
-            f.write(kb)
-            f.write(struct.pack("<II", arr.shape[0], arr.shape[1]))
-            f.write(arr.tobytes())
+    """Serialize messages to the cache file (deterministic bytes)."""
+    feats, labs = sorted(cache.feature_messages), sorted(cache.label_messages)
+    meta = {"fingerprint": cache.fingerprint, "l1": cache.l1, "l2": cache.l2,
+            "features": feats, "labels": labs}
+    write_arrays(path, CACHE_FILE, meta,
+                 [*(cache.feature_messages[k] for k in feats),
+                  *(cache.label_messages[k] for k in labs)])
 
 
 def read_cache(path, expect_fingerprint: int | None = None,
@@ -181,26 +275,8 @@ def read_cache(path, expect_fingerprint: int | None = None,
                expect_l2: int | None = None) -> MessageCache:
     """Read a cache file, optionally enforcing freshness expectations."""
     path = Path(path)
-    if not path.is_file():
-        raise CacheError(f"cache file {path} not found")
-    data = path.read_bytes()
-    pos = 0
-
-    def take(n: int) -> bytes:
-        nonlocal pos
-        if pos + n > len(data):
-            raise CacheError(f"cache file {path.name} is truncated")
-        out = data[pos:pos + n]
-        pos += n
-        return out
-
-    if take(4) != CACHE_MAGIC:
-        raise CacheError(f"{path.name} is not a message cache (bad magic)")
-    version, fingerprint, l1, l2 = struct.unpack("<IQII", take(20))
-    if version != CACHE_VERSION:
-        raise CacheError(
-            f"{path.name} is a version {version} cache; this build reads "
-            f"version {CACHE_VERSION}: regenerate with `ahgnn precompute`")
+    meta, arrays = read_arrays(path, CACHE_FILE)
+    fingerprint, l1, l2 = meta["fingerprint"], meta["l1"], meta["l2"]
     if expect_fingerprint is not None and fingerprint != expect_fingerprint:
         raise CacheError(
             "stale cache: dataset changed since the cache was written; "
@@ -210,20 +286,15 @@ def read_cache(path, expect_fingerprint: int | None = None,
         raise CacheError(
             f"stale cache: built for L1={l1}, L2={l2}; regenerate with "
             "`ahgnn precompute`")
-    (n_entries,) = struct.unpack("<I", take(4))
-    stores: tuple[dict, dict] = ({}, {})
-    for _ in range(n_entries):
-        kind, klen = struct.unpack("<BI", take(5))
-        key = take(klen).decode()
-        rows, cols = struct.unpack("<II", take(8))
-        arr = np.frombuffer(take(rows * cols * 8), dtype="<f8")
-        if kind > 1:
-            raise CacheError(f"unknown cache entry kind {kind}")
-        stores[kind][key] = arr.reshape(rows, cols).astype(np.float64)
-    if pos != len(data):
-        raise CacheError(f"cache file {path.name} has trailing bytes")
-    if not stores[0]:
+    stored = iter(arrays)
+    feats = {k: next(stored) for k in meta["features"]}
+    labs = {k: next(stored) for k in meta["labels"]}
+    if not feats:
         raise CacheError("cache holds no feature entries")
+    for key, m in [*feats.items(), *labs.items()]:
+        if m.ndim != 2:
+            raise CacheError(f"cache file {path.name}: message {key} has "
+                             f"shape {m.shape}, not (rows, columns)")
 
     def agree(axis: int, what: str, entries: list) -> None:
         (k0, m0), *rest = entries
@@ -232,11 +303,11 @@ def read_cache(path, expect_fingerprint: int | None = None,
                 raise CacheError(
                     f"cache file {path.name}: message {key} has "
                     f"{m.shape[axis]} {what}, message {k0} has {m0.shape[axis]}")
-    agree(0, "rows", [*stores[0].items(), *stores[1].items()])
-    if stores[1]:
-        agree(1, "columns", list(stores[1].items()))
+    agree(0, "rows", [*feats.items(), *labs.items()])
+    if labs:
+        agree(1, "columns", list(labs.items()))
     cache = MessageCache(l1=l1, l2=l2, fingerprint=fingerprint,
-                         feature_messages=stores[0], label_messages=stores[1])
+                         feature_messages=feats, label_messages=labs)
     try:  # every hop a path reads must be a stored prefix
         cache.feature_entries, cache.label_entries
     except KeyError as e:

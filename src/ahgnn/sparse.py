@@ -12,7 +12,7 @@ whether they fit int32.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -175,18 +175,15 @@ def spspmm(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
 def normalize_relation(m: SparseMatrix) -> SparseMatrix:
     """Symmetric degree normalization v_ij / sqrt(rowdeg_i * coldeg_j).
 
-    Degrees are value-weighted sums.  Entries whose row or column degree
-    is zero are dropped.  Negative or non-finite inputs are rejected, no
-    self-loops are added, and no epsilon is folded into the degrees.
+    Degrees are value-weighted sums.  Negative or non-finite inputs are
+    rejected, no self-loops are added, and no epsilon is folded into the
+    degrees.  A canonical matrix stores no zeros, so every stored entry
+    has a positive row and column degree and keeps its place.
     """
     if not np.all(np.isfinite(m.values)):
         raise ValueError("relation values must be finite")
     if np.any(m.values < 0):
         raise ValueError("relation values must be non-negative")
-    rdeg = m.row_sums()
-    cdeg = m.col_sums()
     r, c = m.coords()
-    keep = (rdeg[r] > 0) & (cdeg[c] > 0)
-    r, c = r[keep], c[keep]
-    v = m.values[keep] / np.sqrt(rdeg[r] * cdeg[c])
-    return SparseMatrix.from_coo(m.rows, m.cols, r, c, v)
+    rdeg, cdeg = m.row_sums(), m.col_sums()
+    return replace(m, values=m.values / np.sqrt(rdeg[r] * cdeg[c]))

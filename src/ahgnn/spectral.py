@@ -37,7 +37,7 @@ def spectrum(adj: np.ndarray) -> np.ndarray:
         raise ValueError(f"dense spectral path caps at {MAX_DENSE_NODES} nodes")
     if np.any(a < 0) or not np.all(np.isfinite(a)):
         raise ValueError("adjacency must be non-negative and finite")
-    if not np.allclose(a, a.T, atol=0):
+    if not np.array_equal(a, a.T):
         raise ValueError("adjacency must be symmetric")
     norm = normalize_relation(SparseMatrix.from_dense(a)).to_dense()
     return np.linalg.eigvalsh(norm)[::-1]

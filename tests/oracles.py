@@ -19,6 +19,8 @@ masks; and the propagation that forms each path's n x n walk product
 before multiplying it by the operand.
 """
 
+import io
+import json
 import struct
 from collections import Counter
 from dataclasses import replace
@@ -606,15 +608,16 @@ def oracle_path_embeddings(cache, params):
     return keys, embs
 
 
-def oracle_messages(graph: HeteroGraph, paths,
+def oracle_messages(steps: PathProducts, paths,
                     operands: dict) -> dict[str, np.ndarray]:
     """ahgnn.propagate._messages through walk products, left to right.
 
     Forms each path's normalized walk product Â_P with sparse-sparse
-    products, then one spmm with the operand of the path's last type; a
-    zero-step path copies it.
+    products over a fresh `PathProducts` of `steps`' graph, then one
+    spmm with the operand of the path's last type; a zero-step path
+    copies it.
     """
-    products = PathProducts(graph, normalized=True)
+    products = PathProducts(steps.graph, normalized=True)
     out = {}
     for p in paths:
         x = operands[p.types[-1]]
@@ -637,3 +640,30 @@ def write_cache_v1(cache, path) -> None:
                 for h in entries[key]:
                     arr = np.ascontiguousarray(h, dtype="<f8")
                     f.write(struct.pack("<II", *arr.shape) + arr.tobytes())
+
+
+def npy_record(array, allow_pickle: bool = False) -> bytes:
+    """`array` as one .npy format 1.0 record."""
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, np.asarray(array), version=(1, 0),
+                              allow_pickle=allow_pickle)
+    return buf.getvalue()
+
+
+def npy_header(descr: str, shape: tuple) -> bytes:
+    """A .npy format 1.0 header alone, declaring `descr` and `shape`."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buf, {"descr": descr, "fortran_order": False, "shape": shape})
+    return buf.getvalue()
+
+
+def write_container(path, magic: bytes, version: int, meta,
+                    records: list[bytes]) -> None:
+    """The shared array container, byte by byte: magic, u32 version, u32
+    meta length, the meta (JSON with sorted keys, or raw bytes as given),
+    then each record as given."""
+    head = meta if isinstance(meta, bytes) else \
+        json.dumps(meta, sort_keys=True).encode()
+    Path(path).write_bytes(magic + struct.pack("<II", version, len(head))
+                           + head + b"".join(records))

@@ -12,13 +12,13 @@ import pytest
 import ahgnn
 from ahgnn.cli import build_parser, default_cache_path, dispatch
 from ahgnn.graph import load_dataset, save_dataset
-from ahgnn.model import (load_checkpoint, model_forward, predict_logits,
-                         restore_model_params, save_checkpoint)
-from ahgnn.propagate import build_cache, write_cache
+from ahgnn.model import (CHECKPOINT_MAGIC, load_checkpoint, model_forward,
+                         predict_logits, restore_model_params, save_checkpoint)
+from ahgnn.propagate import CACHE_MAGIC, build_cache, write_cache
 from ahgnn.synth import RewireSpec, ToySpec, generate_toy
 from ahgnn.train import TrainConfig, evaluate
 from conftest import REPO_ROOT, checkout_env
-from oracles import write_cache_v1
+from oracles import npy_header, write_cache_v1, write_container
 
 
 @pytest.fixture()
@@ -392,6 +392,36 @@ def test_eval_of_a_version_one_cache_exits_one(toy_dir, tmp_path, capsys,
     assert "version 1 cache" in err
     assert "regenerate with `ahgnn precompute`" in err
     assert not (tmp_path / "eval" / "eval.json").exists()
+
+
+def test_malformed_cache_and_checkpoint_files_exit_one(toy_dir, tmp_path,
+                                                       capsys, monkeypatch):
+    # a cache array declaring 72.8 TiB, and a checkpoint whose meta lacks
+    # its parameter names, each name the file and exit 1
+    monkeypatch.delenv("AHGNN_CACHE_DIR", raising=False)
+    out = tmp_path / "run"
+    run_ok(["train", "--data", str(toy_dir), "--out", str(out),
+            "--epochs", "1", "--hidden", "8", "--heads", "2"], capsys)
+    huge, bad = tmp_path / "huge.ahgc", tmp_path / "bad.ahgm"
+    write_container(huge, CACHE_MAGIC, 4, {
+        "fingerprint": load_dataset(toy_dir).fingerprint, "l1": 2, "l2": 2,
+        "features": ["A"], "labels": []}, [npy_header("<f8", (10**7, 10**6))])
+    config, _ = load_checkpoint(out / "model.ahgm")
+    write_container(bad, CHECKPOINT_MAGIC, 2, {"config": config}, [])
+    for argv, name in (
+            (["train", "--cache", str(huge), "--out", str(tmp_path / "t"),
+              "--epochs", "1", "--hidden", "8", "--heads", "2"],
+             "cache file huge.ahgc is truncated"),
+            (["eval", "--checkpoint", str(out / "model.ahgm"), "--cache",
+              str(huge), "--out", str(tmp_path / "e")],
+             "cache file huge.ahgc is truncated"),
+            (["eval", "--checkpoint", str(bad), "--out", str(tmp_path / "e")],
+             "checkpoint file bad.ahgm: meta is not a JSON object")):
+        code = dispatch(argv + ["--data", str(toy_dir)])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert name in err
+    assert not (tmp_path / "e" / "eval.json").exists()
 
 
 def test_exit_codes_for_bad_invocations(tmp_path, capsys):

@@ -1,11 +1,13 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
 import ahgnn.autodiff as ad
 from ahgnn.autodiff import Tensor
-from ahgnn.model import (ATTENTION_WEIGHTS, CheckpointError, beta_table,
+from ahgnn.model import (ATTENTION_WEIGHTS, CHECKPOINT_MAGIC, CheckpointError,
+                         beta_table,
                          gamma_table, influence_factors, init_gamma,
                          init_model_params, load_checkpoint, model_forward,
                          multi_head_attention, path_embeddings,
@@ -15,8 +17,8 @@ from ahgnn.propagate import (MessageCache, build_cache, propagate_features,
                              propagate_labels)
 from ahgnn.synth import ToySpec, generate_toy
 from ahgnn.train import training_loss
-from oracles import (oracle_init_params, oracle_path_embeddings,
-                     random_typed_graph)
+from oracles import (npy_record, oracle_init_params, oracle_path_embeddings,
+                     random_typed_graph, write_container)
 
 
 def small_setup(dtype=np.float64, hidden=8, heads=2, l1=2, l2=2, seed=0,
@@ -447,4 +449,48 @@ def test_checkpoint_bad_magic_and_truncation(tmp_path):
     raw = (tmp_path / "m.ahgm").read_bytes()
     (tmp_path / "m.ahgm").write_bytes(raw[:-10])
     with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(tmp_path / "m.ahgm")
+
+
+def test_checkpoint_layout_is_the_container_byte_for_byte(tmp_path):
+    _, _, params = small_setup(dtype=np.float64)
+    cfg = {"hidden": 8, "heads": 2}
+    save_checkpoint(params, cfg, tmp_path / "m.ahgm")
+    tensors = params.all_parameters()
+    names = sorted(tensors)
+    write_container(tmp_path / "ref.ahgm", CHECKPOINT_MAGIC, 2,
+                    {"config": cfg, "params": names},
+                    [npy_record(tensors[n].data.astype("<f4")) for n in names])
+    assert (tmp_path / "m.ahgm").read_bytes() == \
+        (tmp_path / "ref.ahgm").read_bytes()
+    _, arrays = load_checkpoint(tmp_path / "m.ahgm")
+    assert arrays["gate"].shape == () and arrays["gate"].dtype == np.float32
+
+
+def test_version_one_checkpoint_names_its_version(tmp_path):
+    # the hand-packed layout: u32 config length, config, u32 count, entries
+    (tmp_path / "v1.ahgm").write_bytes(
+        CHECKPOINT_MAGIC + struct.pack("<II", 1, 2) + b"{}" + bytes(4))
+    with pytest.raises(CheckpointError, match=r"v1\.ahgm is a version 1 "
+                       r"checkpoint; this build reads version 2: regenerate "
+                       r"with `ahgnn train`"):
+        load_checkpoint(tmp_path / "v1.ahgm")
+
+
+def test_checkpoint_array_that_is_not_float32_is_refused(tmp_path):
+    write_container(tmp_path / "m.ahgm", CHECKPOINT_MAGIC, 2,
+                    {"config": {}, "params": ["gate"]},
+                    [npy_record(np.zeros((), dtype="<f8"))])
+    with pytest.raises(CheckpointError, match=r"checkpoint file m\.ahgm: "
+                       r"array 0 is not a C-order <f4 array in \.npy format 1\.0"):
+        load_checkpoint(tmp_path / "m.ahgm")
+
+
+@pytest.mark.parametrize("meta", [{"config": {}}, {"params": []}, [{}]],
+                         ids=["no-params", "no-config", "list"])
+def test_checkpoint_meta_without_its_fields_is_refused(tmp_path, meta):
+    write_container(tmp_path / "m.ahgm", CHECKPOINT_MAGIC, 2, meta, [])
+    with pytest.raises(CheckpointError, match=r"checkpoint file m\.ahgm: meta "
+                       r"is not a JSON object with fields \('config', "
+                       r"'params'\)"):
         load_checkpoint(tmp_path / "m.ahgm")

@@ -1,18 +1,23 @@
 """The program attributes the benchmark in perfbench/ reaches into.
 
 perfbench wraps named functions and methods of the package (layers.py,
-measure.py), times `build_cache` with a `threads` argument and reads the
-per-path views of a message cache.  These tests run that code against the
+measure.py), times `build_cache` with a `threads` argument, reads the
+per-path views of a message cache, and checks a saved checkpoint's
+chunked logits (workloads.py).  These tests run that code against the
 package, so a change that deletes or renames one of them fails here, not
 in a benchmark run.
 """
 
 import importlib
 
+import numpy as np
 import pytest
 
+from ahgnn.model import (init_model_params, load_checkpoint, model_forward,
+                         predict_logits, restore_model_params, save_checkpoint)
 from ahgnn.propagate import build_cache, read_cache, write_cache
 from ahgnn.synth import ToySpec, generate_toy
+from ahgnn.train import TrainConfig
 from conftest import REPO_ROOT
 
 # measure.py observes these in every run, traced or not
@@ -72,3 +77,24 @@ def test_cache_hooks_run(perfbench, tmp_path):
     shape = layers.cache_shape(tmp_path / "c.ahgc")
     assert shape["propagate.stored_hops"] >= shape["propagate.unique_prefixes"] > 0
     assert checks.check_cache(read_cache(tmp_path / "c.ahgc"), built) is None
+
+
+def test_checkpoint_chunked_check_runs(perfbench, tmp_path):
+    # scale_pipeline's eval check, on a checkpoint save_checkpoint wrote:
+    # load it, restore it against the cache file, then compare full and
+    # row-chunked logits
+    _, checks = perfbench
+    g = generate_toy(ToySpec(n_target=20, n_aux=10, num_classes=2,
+                             homophily=1.0, feature_dim=3, edges_per_node=2))
+    write_cache(build_cache(g, 2, 2), tmp_path / "c.ahgc")
+    config = TrainConfig(hidden=8, heads=2, l1=2, l2=2).to_dict()
+    trained = init_model_params(read_cache(tmp_path / "c.ahgc"), hidden=8,
+                                heads=2, alpha=0.25,
+                                rng=np.random.default_rng(1))
+    save_checkpoint(trained, config, tmp_path / "m.ahgm")
+    config, arrays = load_checkpoint(tmp_path / "m.ahgm")
+    cache = read_cache(tmp_path / "c.ahgc").astype(np.float32)
+    params = restore_model_params(arrays, cache, config, dtype=np.float32)
+    full = model_forward(cache, params).logits.data
+    chunked = predict_logits(cache, params, batch_size=cache.n_target // 3 + 1)
+    assert checks.check_chunked(full, chunked) is None

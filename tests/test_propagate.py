@@ -1,3 +1,5 @@
+import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,12 +9,14 @@ import ahgnn.metapath
 import ahgnn.propagate
 import ahgnn.sparse
 from ahgnn.graph import load_dataset
-from ahgnn.propagate import (CACHE_VERSION, CacheError, MessageCache,
-                             build_cache, label_hop_indices, prefix_key,
-                             propagate_features, propagate_labels, read_cache,
-                             train_label_matrix, write_cache)
+from ahgnn.metapath import enumerate_metapaths
+from ahgnn.propagate import (CACHE_MAGIC, CACHE_VERSION, CacheError,
+                             MessageCache, build_cache, label_hop_indices,
+                             prefix_key, propagate_features, propagate_labels,
+                             read_cache, train_label_matrix, write_cache)
 from ahgnn.synth import ToySpec, generate_toy
-from oracles import oracle_messages, random_typed_graph, write_cache_v1
+from oracles import (npy_header, npy_record, oracle_messages,
+                     random_typed_graph, write_cache_v1, write_container)
 
 TOY = Path(__file__).parent / "data" / "toy"
 
@@ -294,7 +298,7 @@ def test_one_stored_matrix_per_path():
     # the path set depends only on the schema and the depths: two types
     # (A-B) at l1=4, l2=2 is the gate fixture's, three types (a star around
     # A) at l1=3, l2=2 the scaling fixture's
-    assert CACHE_VERSION == 3
+    assert CACHE_VERSION == 4
     assert stored_counts(2, 4, 2) == (5, 1)
     assert stored_counts(3, 3, 2) == (9, 2)
 
@@ -336,6 +340,147 @@ def test_version_one_cache_asks_for_regeneration(tmp_path):
         read_cache(path)
     with pytest.raises(CacheError, match="version 1 cache"):
         read_cache(path, expect_fingerprint=g.fingerprint)
+
+
+def test_version_three_cache_asks_for_regeneration(tmp_path):
+    # the last hand-packed layout: u64 fingerprint, u32 l1, l2 and count
+    # after the version, then kind-tagged entries (none here)
+    path = tmp_path / "v3.ahgc"
+    path.write_bytes(CACHE_MAGIC + struct.pack("<IQIII", 3, 7, 2, 2, 0))
+    with pytest.raises(CacheError, match=r"v3\.ahgc is a version 3 cache; "
+                       r"this build reads version 4: regenerate with "
+                       r"`ahgnn precompute`"):
+        read_cache(path)
+
+
+def test_cache_layout_is_the_container_byte_for_byte(tmp_path):
+    cache = build_cache(load_dataset(TOY), 2, 2)
+    write_cache(cache, tmp_path / "c.ahgc")
+    feats, labs = sorted(cache.feature_messages), sorted(cache.label_messages)
+    write_container(tmp_path / "ref.ahgc", CACHE_MAGIC, 4, {
+        "fingerprint": cache.fingerprint, "l1": 2, "l2": 2,
+        "features": feats, "labels": labs},
+        [npy_record(cache.feature_messages[k]) for k in feats]
+        + [npy_record(cache.label_messages[k]) for k in labs])
+    assert (tmp_path / "c.ahgc").read_bytes() == \
+        (tmp_path / "ref.ahgc").read_bytes()
+
+
+def write_one_message_cache(path, meta=None, records=None) -> None:
+    """A cache container holding feature path A alone, as given."""
+    meta = {"fingerprint": 1, "l1": 1, "l2": 1, "features": ["A"],
+            "labels": []} if meta is None else meta
+    records = [npy_record(np.ones((3, 2)))] if records is None else records
+    write_container(path, CACHE_MAGIC, CACHE_VERSION, meta, records)
+
+
+def test_one_message_cache_reads_back(tmp_path):
+    write_one_message_cache(tmp_path / "c.ahgc")
+    back = read_cache(tmp_path / "c.ahgc")
+    np.testing.assert_array_equal(back.feature_messages["A"], np.ones((3, 2)))
+    assert back.feature_messages["A"].flags.writeable
+
+
+def test_cache_array_past_the_end_is_truncated_and_allocates_nothing(tmp_path):
+    # a header declaring 72.8 TiB; numpy left to itself would try to
+    # allocate them and raise MemoryError
+    path = tmp_path / "huge.ahgc"
+    write_one_message_cache(path, records=[npy_header("<f8", (10**7, 10**6))])
+    tracemalloc.start()
+    try:
+        with pytest.raises(CacheError, match=r"cache file huge\.ahgc is "
+                           r"truncated: array 0 of shape \(10000000, "
+                           r"1000000\) runs past the end"):
+            read_cache(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("record", [
+    npy_record(np.array([{"a": 1}, None], dtype=object), allow_pickle=True),
+    npy_record(np.ones((3, 2), dtype="<f4")),
+    npy_record(np.ones((3, 2), dtype=">f8")),
+    npy_record(np.ones((3, 2), dtype="<i8")),
+    npy_record(np.asfortranarray(np.ones((3, 2)))),
+    npy_header("<f8", (-1, 2)) + bytes(48),
+    npy_record(np.ones((3, 2)))[:8].replace(b"\x01", b"\x02") + bytes(120),
+    b"PK\x03\x04" + bytes(124),
+], ids=["pickled-object", "f4", "big-endian", "int", "fortran", "negative",
+        "npy-2.0", "not-npy"])
+def test_cache_array_of_another_kind_is_refused(tmp_path, record):
+    write_one_message_cache(tmp_path / "c.ahgc", records=[record])
+    with pytest.raises(CacheError, match=r"cache file c\.ahgc: array 0 is not "
+                       r"a C-order <f8 array in \.npy format 1\.0"):
+        read_cache(tmp_path / "c.ahgc")
+
+
+@pytest.mark.parametrize("array", [np.ones(3), np.ones((3, 2, 1)),
+                                   np.float64(1.0)], ids=["1d", "3d", "0d"])
+def test_cache_message_that_is_not_a_matrix_is_refused(tmp_path, array):
+    write_one_message_cache(tmp_path / "c.ahgc", records=[npy_record(array)])
+    with pytest.raises(CacheError, match=r"cache file c\.ahgc: message A has "
+                       r"shape .*, not \(rows, columns\)"):
+        read_cache(tmp_path / "c.ahgc")
+
+
+@pytest.mark.parametrize("meta", [
+    b"[1, 2]", b"not json", b"\xff\xfe", b"null",
+], ids=["list", "not-json", "not-utf8", "null"])
+def test_cache_meta_that_is_not_an_object_is_refused(tmp_path, meta):
+    write_one_message_cache(tmp_path / "c.ahgc", meta=meta)
+    with pytest.raises(CacheError, match=r"cache file c\.ahgc: meta is not a "
+                       "JSON object"):
+        read_cache(tmp_path / "c.ahgc")
+
+
+@pytest.mark.parametrize("field", ["fingerprint", "l1", "l2", "features",
+                                   "labels"])
+def test_cache_meta_lacking_a_field_is_refused(tmp_path, field):
+    meta = {"fingerprint": 1, "l1": 1, "l2": 1, "features": ["A"],
+            "labels": []}
+    del meta[field]
+    write_one_message_cache(tmp_path / "c.ahgc", meta=meta)
+    with pytest.raises(CacheError, match=r"cache file c\.ahgc: meta is not a "
+                       rf"JSON object with fields .*'{field}'"):
+        read_cache(tmp_path / "c.ahgc")
+
+
+@pytest.mark.parametrize("features", ["A", [1], ["A", "A"], [["A"]]])
+def test_cache_meta_names_that_are_not_distinct_keys_are_refused(tmp_path,
+                                                                 features):
+    meta = {"fingerprint": 1, "l1": 1, "l2": 1, "features": features,
+            "labels": []}
+    write_one_message_cache(tmp_path / "c.ahgc", meta=meta)
+    with pytest.raises(CacheError, match=r"cache file c\.ahgc: meta fields "
+                       r"\('features', 'labels'\) must list distinct names"):
+        read_cache(tmp_path / "c.ahgc")
+
+
+def test_build_cache_normalizes_each_relation_once(monkeypatch):
+    real = ahgnn.metapath.normalize_relation
+    calls = []
+    monkeypatch.setattr(ahgnn.metapath, "normalize_relation",
+                        lambda m: calls.append(m) or real(m))
+    for num_types, l1, l2 in ((2, 4, 2), (3, 3, 2)):
+        g = generate_toy(ToySpec(n_target=24, n_aux=8, num_types=num_types,
+                                 homophily=1.0, seed=0))
+        target = g.target_type
+        paths = enumerate_metapaths(g.schema(), target, l1) + \
+            enumerate_metapaths(g.schema(), target, l2, end=target,
+                                include_trivial=False)
+        read = {p.types[i:i + 2] for p in paths for i in range(p.steps)}
+        calls.clear()
+        cache = build_cache(g, l1, l2)
+        assert sorted(id(m) for m in calls) == \
+            sorted(id(g.relation(*r)) for r in read), num_types
+        # ... and the messages are the ones each propagation builds alone
+        for built, alone in ((cache.feature_messages, propagate_features(g, l1)),
+                             (cache.label_messages, propagate_labels(g, l2))):
+            assert list(built) == list(alone)
+            for key in alone:
+                np.testing.assert_array_equal(built[key], alone[key])
 
 
 def test_cache_missing_a_prefix_is_rejected(tmp_path):

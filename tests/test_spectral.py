@@ -38,6 +38,11 @@ def test_normalization_input_validation():
         spectrum(np.ones((2, 3)))
     with pytest.raises(ValueError, match="symmetric"):
         spectrum(np.array([[0.0, 1.0], [0.5, 0.0]]))
+    # within numpy's default relative tolerance of symmetric, and still not:
+    # its eigenvalues would depend on which triangle the solver reads
+    path = np.array([[0.0, 1.0, 0.0], [1.000001, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    with pytest.raises(ValueError, match="adjacency must be symmetric"):
+        spectrum(path)
     with pytest.raises(ValueError, match="non-negative"):
         spectrum(np.array([[0.0, -1.0], [-1.0, 0.0]]))
     with pytest.raises(ValueError, match="finite"):
