@@ -107,14 +107,9 @@ def _cmd_precompute(args) -> int:
 def _load_or_build_cache(g, data, cache, l1: int, l2: int):
     """Read `cache`, or the default cache path of the dataset directory
     `data`; only the default may be absent, and is then built."""
-    if cache:
-        cpath = Path(cache)
-        if not cpath.is_file():
-            raise ValueError(f"cache file {cpath} not found")
-    else:
-        cpath = default_cache_path(Path(data))
-        if not cpath.is_file():
-            return build_cache(g, l1, l2)
+    cpath = Path(cache) if cache else default_cache_path(Path(data))
+    if not cache and not cpath.is_file():
+        return build_cache(g, l1, l2)
     return read_cache(cpath, expect_fingerprint=g.fingerprint,
                       expect_l1=l1, expect_l2=l2)
 

@@ -1,10 +1,12 @@
 """Heterogeneous graph container and dataset directory I/O.
 
-On disk a dataset is a directory with manifest.json plus TSV files:
+On disk a dataset is a directory with manifest.json, one .npy feature
+file per node type, and TSV files:
 
     manifest.json           node_types, counts, feature_dims, relations,
                             target_type, num_classes
-    features_<T>.tsv        counts[T] x feature_dims[T] decimal reals
+    features_<T>.npy        counts[T] x feature_dims[T] float64, one .npy
+                            record (format 1.0, C order, <f8, no pickles)
     edges_<SRC>_<DST>.tsv   one edge per line, two int columns
                             (duplicates are summed into edge weights)
     labels_<TARGET>.tsv     (node_id, label) rows; absent nodes are -1
@@ -14,7 +16,12 @@ The loader materializes missing transpose relations, so an in-memory
 graph always carries both directions of every cross-type relation; a
 manifest that lists both directions needs each file to be the other
 reversed.  Malformed input raises DatasetError naming the file or field.
-Floats are written with %.17g so a save/load round trip is bit-exact.
+A feature file holds the float64 bits themselves, so a save/load round
+trip is bit-exact and no value is parsed from text.
+
+`write_npy` and `read_npy` are the one .npy writer and reader of the
+package: the feature files here, and the arrays of the message cache and
+the checkpoint (`propagate.write_arrays`, `read_arrays`).
 """
 
 from __future__ import annotations
@@ -22,6 +29,9 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
+import re
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,6 +41,11 @@ from .sparse import SparseMatrix
 
 TRAIN, VAL, TEST = 0, 1, 2
 SPLIT_TAGS = ("train", "val", "test")
+# what np.lib.format.write_array puts before a C-order array, format 1.0,
+# after its magic and u16 header length
+NPY_MAGIC = b"\x93NUMPY\x01\x00"
+NPY_HEADER = re.compile(rb"\{'descr': '([^']*)', 'fortran_order': False, "
+                        rb"'shape': \((\d+,|\d+(?:, \d+)+|)\), \} *\n")
 
 
 class DatasetError(ValueError):
@@ -206,19 +221,61 @@ def manifest_bytes(g: HeteroGraph) -> bytes:
     return (json.dumps(manifest_dict(g), indent=2, sort_keys=True) + "\n").encode()
 
 
-def _load_tsv(path: Path, ncols: int, dtype) -> np.ndarray:
+def write_npy(f, a, dtype: str) -> None:
+    """Write `a` to the open file `f` as one .npy record of a C-order
+    `dtype` array (format 1.0, no pickles)."""
+    # asarray copies no C-ordered `dtype` array
+    np.lib.format.write_array(f, np.asarray(a, dtype, order="C"),
+                              version=(1, 0), allow_pickle=False)
+
+
+def read_exact(f, n: int, size: int, error: type[ValueError],
+               name: str) -> bytes:
+    """The next `n` bytes of `f`, a file of `size` bytes named `name`;
+    allocates nothing past its end."""
+    if n > size - f.tell():
+        raise error(f"{name} is truncated")
+    return f.read(n)
+
+
+def read_npy(f, size: int, dtype: str, error: type[ValueError], name: str,
+             what: str) -> np.ndarray:
+    """The next `write_npy` record of `f`, a file of `size` bytes.
+
+    Anything but a C-order `dtype` array in .npy format 1.0 raises `error`
+    naming the file `name` and the array `what`.  The array's byte count
+    is checked against the bytes left in the file before anything is
+    allocated for it.
+    """
+    pre = read_exact(f, 10, size, error, name)
+    match = NPY_HEADER.fullmatch(
+        read_exact(f, struct.unpack("<H", pre[8:])[0], size, error, name))
+    if pre[:8] != NPY_MAGIC or not match or match[1] != dtype.encode():
+        raise error(f"{name}: {what} is not a C-order {dtype} array in "
+                    ".npy format 1.0")
+    shape = tuple(int(n) for n in match[2].split(b",") if n)
+    if math.prod(shape) * np.dtype(dtype).itemsize > size - f.tell():
+        raise error(f"{name} is truncated: {what} of shape {shape} runs "
+                    "past the end")
+    a = np.empty(shape, dtype)
+    f.readinto(a.data)
+    return a
+
+
+def _load_tsv(path: Path) -> np.ndarray:
+    """The rows of an edge or label file: two tab-separated integers each."""
     text = path.read_text()
     if not text.strip():
-        return np.zeros((0, ncols), dtype=dtype)
+        return np.zeros((0, 2), dtype=np.int64)
     try:
         # numpy parses bytes faster than a str stream; the text is decoded
         # first, so decoding errors and newline handling stay read_text's
         arr = np.loadtxt(io.BytesIO(text.encode("utf-8")), delimiter="\t",
-                         dtype=dtype, ndmin=2, encoding="utf-8")
+                         dtype=np.int64, ndmin=2, encoding="utf-8")
     except ValueError as e:
         raise DatasetError(f"{path.name}: could not parse: {e}") from None
-    if arr.shape[1] != ncols:
-        raise DatasetError(f"{path.name}: expected {ncols} tab-separated "
+    if arr.shape[1] != 2:
+        raise DatasetError(f"{path.name}: expected 2 tab-separated "
                            f"columns, found {arr.shape[1]}")
     return arr
 
@@ -255,8 +312,8 @@ def save_dataset(g: HeteroGraph, path) -> None:
     path.mkdir(parents=True, exist_ok=True)
     (path / "manifest.json").write_bytes(manifest_bytes(g))
     for t in g.node_types:
-        np.savetxt(path / f"features_{t}.tsv", g.features[t],
-                   fmt="%.17g", delimiter="\t")
+        with open(path / f"features_{t}.npy", "wb") as f:
+            write_npy(f, g.features[t], "<f8")
     for (a, b) in sorted(g.relations):
         m = g.relations[(a, b)]
         r, c = m.coords()
@@ -300,10 +357,19 @@ def load_dataset(path) -> HeteroGraph:
 
     features = {}
     for t in node_types:
-        fpath = path / f"features_{t}.tsv"
+        fpath = path / f"features_{t}.npy"
         if not fpath.is_file():
-            raise DatasetError(f"feature file {fpath.name} not found")
-        x = _load_tsv(fpath, fdims[t], np.float64)
+            old = fpath.with_suffix(".tsv")
+            raise DatasetError(
+                f"feature file {fpath.name} not found" + (
+                    f"; {old.name} is the old text layout: convert it "
+                    "with np.save (see the README)" if old.is_file() else ""))
+        size = fpath.stat().st_size
+        with open(fpath, "rb") as f:
+            x = read_npy(f, size, "<f8", DatasetError, fpath.name,
+                         "the feature matrix")
+            if f.tell() != size:
+                raise DatasetError(f"{fpath.name} has trailing bytes")
         if x.shape != (counts[t], fdims[t]):
             raise DatasetError(
                 f"{fpath.name} has shape {x.shape}, manifest says "
@@ -323,7 +389,7 @@ def load_dataset(path) -> HeteroGraph:
         epath = path / f"edges_{a}_{b}.tsv"
         if not epath.is_file():
             raise DatasetError(f"edge file {epath.name} not found")
-        e = _load_tsv(epath, 2, np.int64)
+        e = _load_tsv(epath)
         if e.size and (e.min() < 0 or e[:, 0].max() >= counts[a] or e[:, 1].max() >= counts[b]):
             raise DatasetError(f"{epath.name}: edge endpoint out of range")
         relations[(a, b)] = SparseMatrix.from_coo(
@@ -343,19 +409,25 @@ def load_dataset(path) -> HeteroGraph:
     lpath = path / f"labels_{target}.tsv"
     if not lpath.is_file():
         raise DatasetError(f"label file {lpath.name} not found")
-    lab = _load_tsv(lpath, 2, np.int64)
-    labels = np.full(n, -1, dtype=np.int64)
-    seen = np.zeros(n, dtype=bool)
-    for i, y in lab:
-        if not 0 <= i < n:
+    ids, ys = _load_tsv(lpath).T
+    # the first faulty row in file order is reported, and within a row
+    # the id range first, then an earlier row for the same id, then the label
+    bad_id = (ids < 0) | (ids >= n)
+    repeat = np.ones(ids.size, dtype=bool)
+    repeat[np.unique(ids, return_index=True)[1]] = False
+    bad_y = (ys < -1) | (ys >= num_classes)
+    faulty = np.nonzero(bad_id | repeat | bad_y)[0]
+    if faulty.size:
+        r = faulty[0]
+        i, y = ids[r], ys[r]
+        if bad_id[r]:
             raise DatasetError(f"{lpath.name}: node id {i} out of range")
-        if seen[i]:
+        if repeat[r]:
             raise DatasetError(f"{lpath.name}: duplicate label row for node {i}")
-        if not -1 <= y < num_classes:
-            raise DatasetError(f"{lpath.name}: labels must lie in "
-                               f"[-1, {num_classes}), node {i} has {y}")
-        seen[i] = True
-        labels[i] = y
+        raise DatasetError(f"{lpath.name}: labels must lie in "
+                           f"[-1, {num_classes}), node {i} has {y}")
+    labels = np.full(n, -1, dtype=np.int64)
+    labels[ids] = ys
 
     spath = path / "splits.tsv"
     if not spath.is_file():

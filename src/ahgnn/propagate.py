@@ -18,19 +18,18 @@ train node's own label into its label messages.
 Cache and checkpoint files share one container (`write_arrays`,
 `read_arrays`), little-endian: 4-byte magic, u32 version, u32 meta
 length, the meta as sort_keys JSON, then each array as one .npy record
-(format 1.0, C order, no pickles).  The cache, version 4, has meta
-{fingerprint (`HeteroGraph.fingerprint`: manifest and arrays), l1, l2,
-features, labels}, the last two its path keys in sorted order, then one
-(N, cols) float64 array per feature key and then per label key.  Every
-message has one row per target node, and every label message one column
-per class.
+(format 1.0, C order, no pickles; `graph.write_npy`/`read_npy`, which
+also write and read a dataset's feature files).  The cache, version 4,
+has meta {fingerprint (`HeteroGraph.fingerprint`: manifest and arrays),
+l1, l2, features, labels}, the last two its path keys in sorted order,
+then one (N, cols) float64 array per feature key and then per label key.
+Every message has one row per target node, and every label message one
+column per class.
 """
 
 from __future__ import annotations
 
 import json
-import math
-import re
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,17 +37,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import HeteroGraph
+from .graph import HeteroGraph, read_exact, read_npy, write_npy
 from .metapath import MetaPath, PathProducts, enumerate_metapaths
 from .sparse import spmm
 
 CACHE_MAGIC = b"AHGC"
 CACHE_VERSION = 4
-# what np.lib.format.write_array puts before a C-order array, format 1.0,
-# after its magic and u16 header length
-NPY_MAGIC = b"\x93NUMPY\x01\x00"
-NPY_HEADER = re.compile(rb"\{'descr': '([^']*)', 'fortran_order': False, "
-                        rb"'shape': \((\d+,|\d+(?:, \d+)+|)\), \} *\n")
 
 
 class CacheError(ValueError):
@@ -78,9 +72,8 @@ def write_arrays(path, spec: ArrayFile, meta: dict, arrays) -> None:
     head = json.dumps(meta, sort_keys=True).encode()
     with open(Path(path), "wb") as f:
         f.write(spec.magic + struct.pack("<II", spec.version, len(head)) + head)
-        for a in arrays:  # asarray copies no C-ordered spec.dtype array
-            np.lib.format.write_array(f, np.asarray(a, spec.dtype, order="C"),
-                                      version=(1, 0), allow_pickle=False)
+        for a in arrays:
+            write_npy(f, a, spec.dtype)
 
 
 def read_arrays(path, spec: ArrayFile) -> tuple[dict, list[np.ndarray]]:
@@ -95,13 +88,7 @@ def read_arrays(path, spec: ArrayFile) -> tuple[dict, list[np.ndarray]]:
         raise spec.error(f"{spec.kind} file {path} not found")
     name, size = f"{spec.kind} file {path.name}", path.stat().st_size
     with open(path, "rb") as f:
-
-        def take(n: int) -> bytes:  # allocates nothing past the end
-            if n > size - f.tell():
-                raise spec.error(f"{name} is truncated")
-            return f.read(n)
-
-        head = take(12)
+        head = read_exact(f, 12, size, spec.error, name)
         if head[:4] != spec.magic:
             raise spec.error(f"{path.name} is not a {spec.kind} file (bad magic)")
         version, meta_len = struct.unpack("<II", head[4:])
@@ -109,8 +96,9 @@ def read_arrays(path, spec: ArrayFile) -> tuple[dict, list[np.ndarray]]:
             raise spec.error(f"{path.name} is a version {version} {spec.kind}; "
                              f"this build reads version {spec.version}: "
                              f"regenerate with `{spec.remake}`")
+        raw = read_exact(f, meta_len, size, spec.error, name)
         try:
-            meta = json.loads(take(meta_len))
+            meta = json.loads(raw)
         except ValueError:
             meta = None
         if not isinstance(meta, dict) or \
@@ -122,19 +110,8 @@ def read_arrays(path, spec: ArrayFile) -> tuple[dict, list[np.ndarray]]:
                    and len(set(v)) == len(v) for v in names):
             raise spec.error(f"{name}: meta fields {spec.names} must list "
                              "distinct names")
-        arrays = []
-        for i in range(sum(map(len, names))):
-            pre = take(10)
-            match = NPY_HEADER.fullmatch(take(struct.unpack("<H", pre[8:])[0]))
-            if pre[:8] != NPY_MAGIC or not match or match[1] != spec.dtype.encode():
-                raise spec.error(f"{name}: array {i} is not a C-order "
-                                 f"{spec.dtype} array in .npy format 1.0")
-            shape = tuple(int(n) for n in match[2].split(b",") if n)
-            if math.prod(shape) * np.dtype(spec.dtype).itemsize > size - f.tell():
-                raise spec.error(f"{name} is truncated: array {i} of shape "
-                                 f"{shape} runs past the end")
-            arrays.append(np.empty(shape, spec.dtype))
-            f.readinto(arrays[-1].data)
+        arrays = [read_npy(f, size, spec.dtype, spec.error, name, f"array {i}")
+                  for i in range(sum(map(len, names)))]
         if f.tell() != size:
             raise spec.error(f"{name} has trailing bytes")
     return meta, arrays

@@ -1,14 +1,18 @@
 import json
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ahgnn.graph
 from ahgnn.cli import dispatch
 from ahgnn.graph import (DatasetError, HeteroGraph, load_dataset,
                          manifest_bytes, save_dataset)
 from ahgnn.sparse import SparseMatrix
+from ahgnn.synth import ToySpec, generate_toy
+from oracles import npy_header, npy_record
 
 TOY = Path(__file__).parent / "data" / "toy"
 
@@ -113,9 +117,50 @@ def test_round_trip_survives_awkward_floats(tmp_path):
     g = small_graph()
     g.features["A"] = np.array([[1 / 3, np.pi], [1e-300, 1.7e300],
                                 [np.nextafter(1.0, 2.0), -0.0]])
+    g.features["B"] = np.array([[-0.0, 5e-324], [1.7976931348623157e308, 0.0]])
     save_dataset(g, tmp_path / "d")
     g2 = load_dataset(tmp_path / "d")
-    np.testing.assert_array_equal(g2.features["A"], g.features["A"])
+    for t in g.node_types:  # -0.0 == 0.0, so compare the bits
+        assert g2.features[t].tobytes() == g.features[t].tobytes(), t
+    assert g2.fingerprint == g.fingerprint
+
+
+def test_features_written_by_np_save_load(tmp_path):
+    d = _copy_toy(tmp_path)
+    x = np.array([[1 / 3, -2.0], [np.pi, 0.0], [-0.0, 1e-300]])
+    np.save(d / "features_A.npy", x)
+    np.testing.assert_array_equal(load_dataset(d).features["A"], x)
+
+
+def test_feature_file_is_its_header_and_the_raw_values(tmp_path):
+    # the heterophily gate's fixture: nothing but 8 bytes per value
+    # follows the .npy header, so no feature value is stored as text
+    g = generate_toy(ToySpec(n_target=300, n_aux=75, num_classes=4,
+                             feature_dim=8, signal=1.0, noise=1.2,
+                             edges_per_node=4, train_frac=0.15, val_frac=0.15,
+                             tolerance=0.03, homophily=0.5, seed=0))
+    save_dataset(g, tmp_path / "d")
+    for t in g.node_types:
+        n, dim = g.features[t].shape
+        assert (tmp_path / "d" / f"features_{t}.npy").stat().st_size == \
+            len(npy_header("<f8", (n, dim))) + 8 * n * dim, t
+
+
+def test_load_parses_text_only_for_edges_and_labels(tmp_path, monkeypatch):
+    g = generate_toy(ToySpec(n_target=1600, n_aux=400, num_types=3,
+                             num_classes=3, feature_dim=64, tolerance=0.05,
+                             homophily=0.7, seed=0))
+    save_dataset(g, tmp_path / "d")
+    parsed = []
+    load_tsv = ahgnn.graph._load_tsv
+
+    def spy(path):
+        parsed.append(path.name)
+        return load_tsv(path)
+    monkeypatch.setattr(ahgnn.graph, "_load_tsv", spy)
+    assert load_dataset(tmp_path / "d").fingerprint == g.fingerprint
+    assert sorted(parsed) == sorted(
+        [f"edges_{a}_{b}.tsv" for a, b in g.relations] + ["labels_A.tsv"])
 
 
 def test_save_twice_identical_bytes(tmp_path):
@@ -154,8 +199,66 @@ def test_missing_manifest_error(tmp_path):
 
 def test_feature_shape_mismatch_error(tmp_path):
     d = _copy_toy(tmp_path)
-    (d / "features_A.tsv").write_text("1\t2\n")
-    with pytest.raises(DatasetError, match="features_A.tsv has shape"):
+    np.save(d / "features_A.npy", np.array([[1.0, 2.0]]))
+    with pytest.raises(DatasetError, match="features_A.npy has shape"):
+        load_dataset(d)
+
+
+def _toy_features(t):
+    return np.load(TOY / f"features_{t}.npy")
+
+
+@pytest.mark.parametrize("content,message", [
+    (npy_record(_toy_features("A").astype("<f4")),
+     r"features_A\.npy: the feature matrix is not a C-order <f8 array"),
+    (npy_record(np.asfortranarray(_toy_features("A"))),
+     r"features_A\.npy: the feature matrix is not a C-order <f8 array"),
+    (npy_record(_toy_features("A").astype(object), allow_pickle=True),
+     r"features_A\.npy: the feature matrix is not a C-order <f8 array"),
+    (npy_record(_toy_features("A"))[:-1],
+     r"features_A\.npy is truncated: the feature matrix of shape \(3, 2\)"),
+    (npy_record(_toy_features("A"))[:20], r"features_A\.npy is truncated"),
+    (npy_record(_toy_features("A")) + b"\0",
+     r"features_A\.npy has trailing bytes"),
+], ids=["f4", "fortran", "pickled-object", "truncated", "truncated-header",
+        "trailing"])
+def test_malformed_feature_file_error(tmp_path, capsys, content, message):
+    d = _copy_toy(tmp_path)
+    (d / "features_A.npy").write_bytes(content)
+    with pytest.raises(DatasetError, match=message):
+        load_dataset(d)
+    assert "features_A.npy" in _cli_error(d, capsys)
+
+
+def test_feature_header_past_the_end_allocates_nothing(tmp_path, capsys):
+    # 10**12 rows of two float64 would be 14.6 TiB
+    d = _copy_toy(tmp_path)
+    (d / "features_A.npy").write_bytes(npy_header("<f8", (10**12, 2)) + bytes(48))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DatasetError, match=r"features_A\.npy is truncated: "
+                           r"the feature matrix of shape \(1000000000000, 2\) "
+                           "runs past the end"):
+            load_dataset(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert "features_A.npy is truncated" in _cli_error(d, capsys)
+
+
+def test_text_feature_file_alone_is_refused_naming_both(tmp_path, capsys):
+    d = _copy_toy(tmp_path)
+    np.savetxt(d / "features_A.tsv", _toy_features("A"), delimiter="\t")
+    (d / "features_A.npy").unlink()
+    with pytest.raises(DatasetError, match=r"feature file features_A\.npy not "
+                       r"found; features_A\.tsv is the old text layout"):
+        load_dataset(d)
+    err = _cli_error(d, capsys)
+    assert "features_A.npy" in err and "features_A.tsv" in err
+    (d / "features_A.tsv").unlink()  # with neither file, one name
+    with pytest.raises(DatasetError, match=r"feature file features_A\.npy "
+                       "not found$"):
         load_dataset(d)
 
 
@@ -198,6 +301,22 @@ def test_duplicate_label_row_error(tmp_path):
     d = _copy_toy(tmp_path)
     (d / "labels_A.tsv").write_text("0\t0\n0\t1\n")
     with pytest.raises(DatasetError, match="duplicate label row"):
+        load_dataset(d)
+
+
+@pytest.mark.parametrize("rows,message", [
+    ("0\t0\n1\t9\n0\t1\n", "labels must lie in .*node 1 has 9"),
+    ("0\t0\n0\t1\n1\t9\n", "duplicate label row for node 0"),
+    ("0\t0\n7\t1\n0\t5\n", "node id 7 out of range"),
+    ("0\t0\n-1\t9\n", "node id -1 out of range"),
+    ("1\t0\n2\t1\n1\t9\n", "duplicate label row for node 1"),
+], ids=["label-before-duplicate", "duplicate-before-label",
+        "id-before-duplicate", "id-before-label-in-one-row",
+        "duplicate-before-label-in-one-row"])
+def test_first_faulty_label_row_is_reported(tmp_path, rows, message):
+    d = _copy_toy(tmp_path)
+    (d / "labels_A.tsv").write_text(rows)
+    with pytest.raises(DatasetError, match="labels_A.tsv: " + message):
         load_dataset(d)
 
 

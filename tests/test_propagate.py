@@ -252,6 +252,15 @@ def test_cache_truncated(tmp_path):
         read_cache(tmp_path / "c.ahgc")
 
 
+def test_cache_truncated_in_its_meta(tmp_path):
+    g = load_dataset(TOY)
+    write_cache(build_cache(g, 2, 2), tmp_path / "c.ahgc")
+    raw = (tmp_path / "c.ahgc").read_bytes()
+    (tmp_path / "c.ahgc").write_bytes(raw[:20])  # 8 bytes into the meta
+    with pytest.raises(CacheError, match=r"cache file c\.ahgc is truncated$"):
+        read_cache(tmp_path / "c.ahgc")
+
+
 def test_cache_trailing_bytes(tmp_path):
     g = load_dataset(TOY)
     write_cache(build_cache(g, 2, 2), tmp_path / "c.ahgc")
