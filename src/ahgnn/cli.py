@@ -219,7 +219,7 @@ def _cmd_grad_check(args) -> int:
     rng = np.random.default_rng(args.seed)
     params = init_model_params(cache, hidden=8, heads=2, alpha=0.4, rng=rng,
                                dtype=np.float64, num_classes=g.num_classes)
-    tensors = list(params.all_parameters().values())
+    tensors = list(params.tensors.values())
 
     def loss_of(*_):
         out = model_forward(cache, params)

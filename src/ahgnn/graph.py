@@ -1,33 +1,32 @@
 """Heterogeneous graph container and dataset directory I/O.
 
-On disk a dataset is a directory with manifest.json, one .npy feature
-file per node type, and TSV files:
+On disk a dataset is a directory holding manifest.json and one .npy
+record (format 1.0, C order, no pickles) per array:
 
     manifest.json           node_types, counts, feature_dims, relations,
                             target_type, num_classes
-    features_<T>.npy        counts[T] x feature_dims[T] float64, one .npy
-                            record (format 1.0, C order, <f8, no pickles)
-    edges_<SRC>_<DST>.tsv   one edge per line, two int columns
-                            (duplicates are summed into edge weights)
-    labels_<TARGET>.tsv     (node_id, label) rows; absent nodes are -1
-    splits.tsv              (node_id, tag) with tag in {train, val, test}
+    features_<T>.npy        counts[T] x feature_dims[T] <f8
+    edges_<A>_<B>.npy       (nnz, 2) <i8 rows (A node, B node), one file
+                            per unordered type pair, A <= B; an edge of
+                            multiplicity k is k equal rows
+    labels_<TARGET>.npy     (n,) <i8, -1 for an unlabeled node
+    splits.npy              (n,) |i1 codes 0 train, 1 val, 2 test
 
-The loader materializes missing transpose relations, so an in-memory
-graph always carries both directions of every cross-type relation; a
-manifest that lists both directions needs each file to be the other
-reversed.  Malformed input raises DatasetError naming the file or field.
-A feature file holds the float64 bits themselves, so a save/load round
-trip is bit-exact and no value is parsed from text.
+The manifest lists both directions of every cross-type relation; the
+loader reads each type pair's one file and `HeteroGraph.create` builds
+the other direction as its transpose.  Every record is checked against
+the manifest, and malformed input raises DatasetError naming the file or
+field.  No value is parsed from text, so a save/load round trip is
+bit-exact.
 
 `write_npy` and `read_npy` are the one .npy writer and reader of the
-package: the feature files here, and the arrays of the message cache and
-the checkpoint (`propagate.write_arrays`, `read_arrays`).
+package: the records here, and the arrays of the message cache and the
+checkpoint (`propagate.write_arrays`, `read_arrays`).
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import math
 import re
@@ -40,7 +39,6 @@ import numpy as np
 from .sparse import SparseMatrix
 
 TRAIN, VAL, TEST = 0, 1, 2
-SPLIT_TAGS = ("train", "val", "test")
 # what np.lib.format.write_array puts before a C-order array, format 1.0,
 # after its magic and u16 header length
 NPY_MAGIC = b"\x93NUMPY\x01\x00"
@@ -262,24 +260,6 @@ def read_npy(f, size: int, dtype: str, error: type[ValueError], name: str,
     return a
 
 
-def _load_tsv(path: Path) -> np.ndarray:
-    """The rows of an edge or label file: two tab-separated integers each."""
-    text = path.read_text()
-    if not text.strip():
-        return np.zeros((0, 2), dtype=np.int64)
-    try:
-        # numpy parses bytes faster than a str stream; the text is decoded
-        # first, so decoding errors and newline handling stay read_text's
-        arr = np.loadtxt(io.BytesIO(text.encode("utf-8")), delimiter="\t",
-                         dtype=np.int64, ndmin=2, encoding="utf-8")
-    except ValueError as e:
-        raise DatasetError(f"{path.name}: could not parse: {e}") from None
-    if arr.shape[1] != 2:
-        raise DatasetError(f"{path.name}: expected 2 tab-separated "
-                           f"columns, found {arr.shape[1]}")
-    return arr
-
-
 def _manifest_field(man: dict, key: str, kind: type, what: str):
     value = man[key]
     if not isinstance(value, kind) or isinstance(value, bool):
@@ -297,11 +277,11 @@ def _per_type(man: dict, key: str, node_types) -> dict[str, int]:
         if t not in table:
             raise DatasetError(
                 f"manifest.json: field {key!r} has no entry for type {t!r}")
-        try:
-            out[t] = int(table[t])
-        except (TypeError, ValueError):
+        v = table[t]
+        if not isinstance(v, int) or isinstance(v, bool):
             raise DatasetError(f"manifest.json: {key}[{t!r}] must be an "
-                               f"integer, got {table[t]!r}") from None
+                               f"integer, got {type(v).__name__} {v!r}")
+        out[t] = v
     return out
 
 
@@ -311,24 +291,49 @@ def save_dataset(g: HeteroGraph, path) -> None:
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     (path / "manifest.json").write_bytes(manifest_bytes(g))
-    for t in g.node_types:
-        with open(path / f"features_{t}.npy", "wb") as f:
-            write_npy(f, g.features[t], "<f8")
-    for (a, b) in sorted(g.relations):
-        m = g.relations[(a, b)]
-        r, c = m.coords()
-        # each weight, a multiplicity (validate), is written back as
-        # that many repeated edge lines
-        out = []
-        for i, j, v in zip(r, c, m.values):
-            out.extend([f"{i}\t{j}"] * int(v))
-        (path / f"edges_{a}_{b}.tsv").write_text("\n".join(out) + ("\n" if out else ""))
-    labeled = np.nonzero(g.labels >= 0)[0]
-    lab_lines = [f"{i}\t{g.labels[i]}" for i in labeled]
-    (path / f"labels_{g.target_type}.tsv").write_text(
-        "\n".join(lab_lines) + ("\n" if lab_lines else ""))
-    split_lines = [f"{i}\t{SPLIT_TAGS[g.splits[i]]}" for i in range(g.n_target)]
-    (path / "splits.tsv").write_text("\n".join(split_lines) + ("\n" if split_lines else ""))
+    records = {f"features_{t}": (g.features[t], "<f8") for t in g.node_types}
+    for a, b in sorted(g.relations):
+        if a <= b:
+            m = g.relations[(a, b)]
+            # each weight, a multiplicity (validate), becomes that many rows
+            records[f"edges_{a}_{b}"] = (np.repeat(
+                np.stack(m.coords(), axis=1), m.values.astype(np.int64),
+                axis=0), "<i8")
+    records[f"labels_{g.target_type}"] = (g.labels, "<i8")
+    records["splits"] = (g.splits, "|i1")
+    for name, (a, dtype) in records.items():
+        with open(path / f"{name}.npy", "wb") as f:
+            write_npy(f, a, dtype)
+
+
+def _read_record(path: Path, dtype: str, what: str, shape: tuple,
+                 bounds: tuple | None = None) -> np.ndarray:
+    """The one `dtype` record that is the file `path`, of `shape` (None:
+    any length) and, given `bounds` (lo, hi), with entries in [lo, hi);
+    hi may give one bound per column."""
+    if not path.is_file():
+        old = path.with_suffix(".tsv")
+        raise DatasetError(f"{path.name} not found" + (
+            f"; {old.name} is the old text layout: convert it with np.save "
+            "(see the README)" if old.is_file() else ""))
+    size = path.stat().st_size
+    with open(path, "rb") as f:
+        a = read_npy(f, size, dtype, DatasetError, path.name, what)
+        if f.tell() != size:
+            raise DatasetError(f"{path.name} has trailing bytes")
+    if len(a.shape) != len(shape) or any(
+            want not in (None, n) for n, want in zip(a.shape, shape)):
+        raise DatasetError(f"{path.name} has shape {a.shape}, expected "
+                           + str(shape).replace("None", "nnz"))
+    if bounds is not None:
+        lo, hi, _ = np.broadcast_arrays(*bounds, a)
+        bad = np.argwhere((a < lo) | (a >= hi))
+        if bad.size:
+            i = tuple(bad[0])
+            raise DatasetError(
+                f"{path.name}: entry [{', '.join(map(str, i))}] of {what} "
+                f"is {a[i]}, outside [{lo[i]}, {hi[i]})")
+    return a
 
 
 def load_dataset(path) -> HeteroGraph:
@@ -354,108 +359,33 @@ def load_dataset(path) -> HeteroGraph:
     counts = _per_type(man, "counts", node_types)
     fdims = _per_type(man, "feature_dims", node_types)
     num_classes = _manifest_field(man, "num_classes", int, "an integer")
+    features = {t: _read_record(path / f"features_{t}.npy", "<f8",
+                                "the feature matrix", (counts[t], fdims[t]))
+                for t in node_types}
 
-    features = {}
-    for t in node_types:
-        fpath = path / f"features_{t}.npy"
-        if not fpath.is_file():
-            old = fpath.with_suffix(".tsv")
-            raise DatasetError(
-                f"feature file {fpath.name} not found" + (
-                    f"; {old.name} is the old text layout: convert it "
-                    "with np.save (see the README)" if old.is_file() else ""))
-        size = fpath.stat().st_size
-        with open(fpath, "rb") as f:
-            x = read_npy(f, size, "<f8", DatasetError, fpath.name,
-                         "the feature matrix")
-            if f.tell() != size:
-                raise DatasetError(f"{fpath.name} has trailing bytes")
-        if x.shape != (counts[t], fdims[t]):
-            raise DatasetError(
-                f"{fpath.name} has shape {x.shape}, manifest says "
-                f"({counts[t]}, {fdims[t]})"
-            )
-        features[t] = x
-
-    relations = {}
+    pairs = set()
     for pair in _manifest_field(man, "relations", list, "a list of type pairs"):
         if not (isinstance(pair, list) and len(pair) == 2
                 and all(isinstance(t, str) for t in pair)):
             raise DatasetError(f"manifest.json: relation entry {pair!r} must "
                                "name two types")
-        a, b = pair
-        if a not in counts or b not in counts:
-            raise DatasetError(f"relation ({a!r}, {b!r}) names an unknown type")
-        epath = path / f"edges_{a}_{b}.tsv"
-        if not epath.is_file():
-            raise DatasetError(f"edge file {epath.name} not found")
-        e = _load_tsv(epath)
-        if e.size and (e.min() < 0 or e[:, 0].max() >= counts[a] or e[:, 1].max() >= counts[b]):
-            raise DatasetError(f"{epath.name}: edge endpoint out of range")
+        if pair[0] not in counts or pair[1] not in counts:
+            raise DatasetError(f"relation {tuple(pair)!r} names an unknown type")
+        pairs.add(tuple(sorted(pair)))
+    relations = {}
+    for a, b in sorted(pairs):
+        e = _read_record(path / f"edges_{a}_{b}.npy", "<i8", "the edge array",
+                         (None, 2), (0, (counts[a], counts[b])))
         relations[(a, b)] = SparseMatrix.from_coo(
-            counts[a], counts[b], e[:, 0], e[:, 1], np.ones(e.shape[0]))
-    for (a, b), m in relations.items():
-        if (b, a) in relations and a < b and \
-                relations[(b, a)] != m.transpose():
-            raise DatasetError(f"edges_{b}_{a}.tsv is not the reverse of "
-                               f"edges_{a}_{b}.tsv: list one direction, or "
-                               "both with the same edges")
+            counts[a], counts[b], e[:, 0], e[:, 1], np.ones(len(e)))
 
     target = _manifest_field(man, "target_type", str, "a type name")
     if target not in counts:
         raise DatasetError(f"target type {target!r} not among node types")
     n = counts[target]
-
-    lpath = path / f"labels_{target}.tsv"
-    if not lpath.is_file():
-        raise DatasetError(f"label file {lpath.name} not found")
-    ids, ys = _load_tsv(lpath).T
-    # the first faulty row in file order is reported, and within a row
-    # the id range first, then an earlier row for the same id, then the label
-    bad_id = (ids < 0) | (ids >= n)
-    repeat = np.ones(ids.size, dtype=bool)
-    repeat[np.unique(ids, return_index=True)[1]] = False
-    bad_y = (ys < -1) | (ys >= num_classes)
-    faulty = np.nonzero(bad_id | repeat | bad_y)[0]
-    if faulty.size:
-        r = faulty[0]
-        i, y = ids[r], ys[r]
-        if bad_id[r]:
-            raise DatasetError(f"{lpath.name}: node id {i} out of range")
-        if repeat[r]:
-            raise DatasetError(f"{lpath.name}: duplicate label row for node {i}")
-        raise DatasetError(f"{lpath.name}: labels must lie in "
-                           f"[-1, {num_classes}), node {i} has {y}")
-    labels = np.full(n, -1, dtype=np.int64)
-    labels[ids] = ys
-
-    spath = path / "splits.tsv"
-    if not spath.is_file():
-        raise DatasetError("splits.tsv not found")
-    text = spath.read_text()
-    splits = np.full(n, -1, dtype=np.int8)
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise DatasetError(f"splits.tsv: malformed line {line!r}")
-        try:
-            i = int(parts[0])
-        except ValueError:
-            raise DatasetError(f"splits.tsv: node id {parts[0]!r} is not an "
-                               "integer") from None
-        tag = parts[1].strip()
-        if tag not in SPLIT_TAGS:
-            raise DatasetError(f"splits.tsv: unknown split tag {tag!r}")
-        if not 0 <= i < n:
-            raise DatasetError(f"splits.tsv: node id {i} out of range")
-        if splits[i] != -1:
-            raise DatasetError(f"splits.tsv: duplicate split row for node {i}")
-        splits[i] = SPLIT_TAGS.index(tag)
-    if np.any(splits == -1):
-        missing = int(np.nonzero(splits == -1)[0][0])
-        raise DatasetError(f"splits.tsv: node {missing} has no split tag")
-
+    labels = _read_record(path / f"labels_{target}.npy", "<i8",
+                          "the label vector", (n,), (-1, num_classes))
+    splits = _read_record(path / "splits.npy", "|i1", "the split vector",
+                          (n,), (TRAIN, TEST + 1))
     return HeteroGraph.create(node_types, counts, features, relations,
                               target, labels, num_classes, splits)

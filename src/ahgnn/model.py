@@ -281,7 +281,7 @@ def save_checkpoint(params: ModelParams, config: dict, path) -> None:
 
     Values are stored as float32, whatever precision the model trained in.
     """
-    tensors = params.all_parameters()
+    tensors = params.tensors
     names = sorted(tensors)
     write_arrays(path, CHECKPOINT_FILE, {"config": config, "params": names},
                  [tensors[name].data for name in names])
@@ -306,7 +306,7 @@ def restore_model_params(arrays: dict[str, np.ndarray], cache: MessageCache,
         alpha=float(config.get("alpha", 0.25)), rng=np.random.default_rng(0),
         dtype=dtype, fix_gamma=bool(config.get("fix_gamma_uniform", False)),
         num_classes=np.size(arrays.get("cls.b")))  # absent: a name mismatch
-    expected = params.all_parameters()
+    expected = params.tensors
     if set(expected) != set(arrays):
         missing = sorted(set(expected) - set(arrays))[:3]
         extra = sorted(set(arrays) - set(expected))[:3]

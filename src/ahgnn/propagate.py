@@ -19,7 +19,7 @@ Cache and checkpoint files share one container (`write_arrays`,
 `read_arrays`), little-endian: 4-byte magic, u32 version, u32 meta
 length, the meta as sort_keys JSON, then each array as one .npy record
 (format 1.0, C order, no pickles; `graph.write_npy`/`read_npy`, which
-also write and read a dataset's feature files).  The cache, version 4,
+also write and read every array of a dataset).  The cache, version 4,
 has meta {fingerprint (`HeteroGraph.fingerprint`: manifest and arrays),
 l1, l2, features, labels}, the last two its path keys in sorted order,
 then one (N, cols) float64 array per feature key and then per label key.

@@ -485,7 +485,7 @@ def oracle_train_history(graph: HeteroGraph, cache, config) -> list[EpochRow]:
     params = init_model_params(work, config.hidden, config.heads, config.alpha,
                                np.random.default_rng(config.seed), dtype=dtype,
                                fix_gamma=config.fix_gamma_uniform)
-    named = params.all_parameters()
+    named = params.tensors
     opt = Adam(lr=config.lr, weight_decay=config.weight_decay)
     labels = graph.labels
     train_mask = graph.train_mask & (labels >= 0)

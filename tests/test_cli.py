@@ -146,8 +146,8 @@ def test_train_rejects_the_cache_of_a_rewired_dataset(toy_dir, tmp_path,
            capsys)
     assert (rewired / "manifest.json").read_bytes() == \
         (toy_dir / "manifest.json").read_bytes()
-    assert (rewired / "edges_A_B.tsv").read_bytes() != \
-        (toy_dir / "edges_A_B.tsv").read_bytes()
+    assert (rewired / "edges_A_B.npy").read_bytes() != \
+        (toy_dir / "edges_A_B.npy").read_bytes()
     code = dispatch(["train", "--data", str(rewired), "--cache", str(cache),
                      "--out", str(tmp_path / "run"), "--epochs", "1",
                      "--hidden", "8", "--heads", "2"])

@@ -6,7 +6,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import ahgnn.graph
 from ahgnn.cli import dispatch
 from ahgnn.graph import (DatasetError, HeteroGraph, load_dataset,
                          manifest_bytes, save_dataset)
@@ -46,11 +45,16 @@ def test_load_toy_fixture():
         g.relations[("A", "B")].to_dense(), [[1, 1], [1, 0], [0, 1]])
 
 
-def test_loader_materializes_transpose():
+def test_loader_materializes_transpose(tmp_path):
     g = load_dataset(TOY)
     assert ("B", "A") in g.relations
     np.testing.assert_array_equal(g.relations[("B", "A")].to_dense(),
                                   g.relations[("A", "B")].to_dense().T)
+    # a manifest that lists B-A, or both directions, reads the one A-B file
+    d = _copy_toy(tmp_path)
+    for listed in ([["B", "A"]], [["A", "B"], ["B", "A"]]):
+        _edit_manifest(d, relations=listed)
+        assert load_dataset(d).fingerprint == g.fingerprint
 
 
 def test_fingerprint_tracks_manifest_bytes():
@@ -146,21 +150,43 @@ def test_feature_file_is_its_header_and_the_raw_values(tmp_path):
             len(npy_header("<f8", (n, dim))) + 8 * n * dim, t
 
 
-def test_load_parses_text_only_for_edges_and_labels(tmp_path, monkeypatch):
-    g = generate_toy(ToySpec(n_target=1600, n_aux=400, num_types=3,
-                             num_classes=3, feature_dim=64, tolerance=0.05,
-                             homophily=0.7, seed=0))
-    save_dataset(g, tmp_path / "d")
-    parsed = []
-    load_tsv = ahgnn.graph._load_tsv
+def _scaling_graph():
+    """The 1600-node, three-type fixture of the scaling benchmark."""
+    return generate_toy(ToySpec(n_target=1600, n_aux=400, num_types=3,
+                                num_classes=3, feature_dim=64, tolerance=0.05,
+                                homophily=0.7, seed=0))
 
-    def spy(path):
-        parsed.append(path.name)
-        return load_tsv(path)
-    monkeypatch.setattr(ahgnn.graph, "_load_tsv", spy)
+
+def test_load_parses_no_text_but_the_manifest(tmp_path, monkeypatch):
+    g = _scaling_graph()
+    save_dataset(g, tmp_path / "d")
+    read = []
+
+    def spy(kind, real):
+        def call(source, *args, **kwargs):
+            read.append((kind, getattr(source, "name", source)))
+            return real(source, *args, **kwargs)
+        return call
+    monkeypatch.setattr(np, "loadtxt", spy("loadtxt", np.loadtxt))
+    for method in ("read_text", "read_bytes"):
+        monkeypatch.setattr(Path, method, spy(method, getattr(Path, method)))
     assert load_dataset(tmp_path / "d").fingerprint == g.fingerprint
-    assert sorted(parsed) == sorted(
-        [f"edges_{a}_{b}.tsv" for a, b in g.relations] + ["labels_A.tsv"])
+    assert read == [("read_bytes", "manifest.json")]
+
+
+def test_edge_file_per_type_pair_is_its_header_and_the_rows(tmp_path):
+    # one file per unordered pair, holding 16 bytes per edge row, and an
+    # edge of multiplicity k is k rows
+    g = _scaling_graph()
+    save_dataset(g, tmp_path / "d")
+    pairs = {tuple(sorted(k)) for k in g.relations}
+    assert len(g.node_types) == 3 and len(pairs) >= 2
+    assert sorted(f.name for f in (tmp_path / "d").glob("edges_*")) == \
+        sorted(f"edges_{a}_{b}.npy" for a, b in pairs)
+    for a, b in pairs:
+        rows = int(g.relations[(a, b)].values.sum())
+        assert (tmp_path / "d" / f"edges_{a}_{b}.npy").stat().st_size == \
+            len(npy_header("<i8", (rows, 2))) + 16 * rows, (a, b)
 
 
 def test_save_twice_identical_bytes(tmp_path):
@@ -174,10 +200,14 @@ def test_save_twice_identical_bytes(tmp_path):
 
 def test_duplicate_edges_sum_multiplicities(tmp_path):
     save_dataset(small_graph(), tmp_path / "d")
-    edges = (tmp_path / "d" / "edges_A_B.tsv").read_text()
-    assert edges.count("1\t0") == 2  # weight 2 expands to two lines
+    edges = np.load(tmp_path / "d" / "edges_A_B.npy")
+    assert edges.tolist() == [[0, 0], [0, 1], [1, 0], [1, 0], [2, 1]]
     g2 = load_dataset(tmp_path / "d")
     assert g2.relations[("A", "B")].to_dense()[1, 0] == 2.0
+    d = _copy_toy(tmp_path)  # repeated rows in any order are summed
+    np.save(d / "edges_A_B.npy", np.array([[2, 1], [0, 0], [2, 1], [2, 1]]))
+    np.testing.assert_array_equal(load_dataset(d).relations[("A", "B")]
+                                  .to_dense(), [[1, 0], [0, 0], [0, 3]])
 
 
 def test_manifest_bytes_are_deterministic():
@@ -186,7 +216,7 @@ def test_manifest_bytes_are_deterministic():
 
 def _copy_toy(tmp_path):
     d = tmp_path / "toy"
-    d.mkdir()
+    d.mkdir(parents=True)
     for f in TOY.iterdir():
         (d / f.name).write_bytes(f.read_bytes())
     return d
@@ -248,76 +278,61 @@ def test_feature_header_past_the_end_allocates_nothing(tmp_path, capsys):
 
 
 def test_text_feature_file_alone_is_refused_naming_both(tmp_path, capsys):
-    d = _copy_toy(tmp_path)
-    np.savetxt(d / "features_A.tsv", _toy_features("A"), delimiter="\t")
-    (d / "features_A.npy").unlink()
-    with pytest.raises(DatasetError, match=r"feature file features_A\.npy not "
-                       r"found; features_A\.tsv is the old text layout"):
-        load_dataset(d)
-    err = _cli_error(d, capsys)
-    assert "features_A.npy" in err and "features_A.tsv" in err
-    (d / "features_A.tsv").unlink()  # with neither file, one name
-    with pytest.raises(DatasetError, match=r"feature file features_A\.npy "
-                       "not found$"):
-        load_dataset(d)
+    # every record kind: the directory holds the old text file alone
+    for stem in ("features_A", "edges_A_B", "labels_A", "splits"):
+        d = _copy_toy(tmp_path / stem)
+        (d / f"{stem}.tsv").write_text("0\t0\n")
+        (d / f"{stem}.npy").unlink()
+        with pytest.raises(DatasetError, match=rf"^{stem}\.npy not found; "
+                           rf"{stem}\.tsv is the old text layout"):
+            load_dataset(d)
+        err = _cli_error(d, capsys)
+        assert f"{stem}.npy" in err and f"{stem}.tsv" in err
+        (d / f"{stem}.tsv").unlink()  # with neither file, one name
+        with pytest.raises(DatasetError, match=rf"^{stem}\.npy not found$"):
+            load_dataset(d)
 
 
-def test_edge_out_of_range_error(tmp_path):
+def test_edge_out_of_range_error(tmp_path, capsys):
     d = _copy_toy(tmp_path)
-    (d / "edges_A_B.tsv").write_text("0\t9\n")
-    with pytest.raises(DatasetError, match="edge endpoint out of range"):
-        load_dataset(d)
+    for edges, message in (([[0, 0], [1, 9]], r"entry \[1, 1\] of the edge "
+                            r"array is 9, outside \[0, 2\)"),
+                           ([[0, 0], [3, 1]], r"entry \[1, 0\] of the edge "
+                            r"array is 3, outside \[0, 3\)"),
+                           ([[-1, 0]], r"entry \[0, 0\] of the edge array "
+                            r"is -1, outside \[0, 3\)")):
+        np.save(d / "edges_A_B.npy", np.array(edges))
+        with pytest.raises(DatasetError, match=r"^edges_A_B\.npy: " + message):
+            load_dataset(d)
+    assert "edges_A_B.npy: entry [0, 0]" in _cli_error(d, capsys)
 
 
 def test_unknown_split_tag_error(tmp_path):
+    # the tags are the codes 0 (train), 1 (val) and 2 (test)
     d = _copy_toy(tmp_path)
-    (d / "splits.tsv").write_text("0\ttrain\n1\tval\n2\tholdout\n")
-    with pytest.raises(DatasetError, match="unknown split tag 'holdout'"):
+    np.save(d / "splits.npy", np.array([0, 1, 3], dtype=np.int8))
+    with pytest.raises(DatasetError, match=r"^splits\.npy: entry \[2\] of "
+                       r"the split vector is 3, outside \[0, 3\)"):
         load_dataset(d)
 
 
 def test_missing_split_row_error(tmp_path):
     d = _copy_toy(tmp_path)
-    (d / "splits.tsv").write_text("0\ttrain\n1\tval\n")
-    with pytest.raises(DatasetError, match="node 2 has no split tag"):
-        load_dataset(d)
-
-
-def test_duplicate_split_row_error(tmp_path):
-    d = _copy_toy(tmp_path)
-    (d / "splits.tsv").write_text("0\ttrain\n0\tval\n1\ttrain\n2\ttest\n")
-    with pytest.raises(DatasetError, match="duplicate split row"):
+    np.save(d / "splits.npy", np.array([0, 1], dtype=np.int8))
+    with pytest.raises(DatasetError, match=r"^splits\.npy has shape \(2,\), "
+                       r"expected \(3,\)$"):
         load_dataset(d)
 
 
 def test_label_out_of_range_error(tmp_path):
     d = _copy_toy(tmp_path)
-    (d / "labels_A.tsv").write_text("0\t5\n")
-    with pytest.raises(DatasetError, match="labels must lie in"):
-        load_dataset(d)
-
-
-def test_duplicate_label_row_error(tmp_path):
-    d = _copy_toy(tmp_path)
-    (d / "labels_A.tsv").write_text("0\t0\n0\t1\n")
-    with pytest.raises(DatasetError, match="duplicate label row"):
-        load_dataset(d)
-
-
-@pytest.mark.parametrize("rows,message", [
-    ("0\t0\n1\t9\n0\t1\n", "labels must lie in .*node 1 has 9"),
-    ("0\t0\n0\t1\n1\t9\n", "duplicate label row for node 0"),
-    ("0\t0\n7\t1\n0\t5\n", "node id 7 out of range"),
-    ("0\t0\n-1\t9\n", "node id -1 out of range"),
-    ("1\t0\n2\t1\n1\t9\n", "duplicate label row for node 1"),
-], ids=["label-before-duplicate", "duplicate-before-label",
-        "id-before-duplicate", "id-before-label-in-one-row",
-        "duplicate-before-label-in-one-row"])
-def test_first_faulty_label_row_is_reported(tmp_path, rows, message):
-    d = _copy_toy(tmp_path)
-    (d / "labels_A.tsv").write_text(rows)
-    with pytest.raises(DatasetError, match="labels_A.tsv: " + message):
-        load_dataset(d)
+    for labels, message in (([0, 5, 1], r"entry \[1\] of the label vector "
+                             r"is 5, outside \[-1, 2\)"),
+                            ([0, 1, -2], r"entry \[2\] of the label vector "
+                             r"is -2, outside \[-1, 2\)")):
+        np.save(d / "labels_A.npy", np.array(labels))
+        with pytest.raises(DatasetError, match=r"^labels_A\.npy: " + message):
+            load_dataset(d)
 
 
 def _edit_manifest(d, **fields):
@@ -351,42 +366,48 @@ def test_malformed_manifest_error(tmp_path, capsys, fields, names):
         assert name in err
 
 
-@pytest.mark.parametrize("name", ["labels_A.tsv", "edges_A_B.tsv"])
-def test_extra_column_error(tmp_path, capsys, name):
+@pytest.mark.parametrize("name,shape,expected", [
+    ("labels_A.npy", (3, 2), "(3,)"), ("edges_A_B.npy", (3, 3), "(nnz, 2)")],
+    ids=["labels_A.npy", "edges_A_B.npy"])
+def test_extra_column_error(tmp_path, capsys, name, shape, expected):
     d = _copy_toy(tmp_path)
-    (d / name).write_text("0\t0\t1\n1\t0\t1\n2\t1\t1\n")
-    assert f"{name}: expected 2 tab-separated columns" in _cli_error(d, capsys)
+    np.save(d / name, np.zeros(shape, dtype=np.int64))
+    assert f"{name} has shape {shape}, expected {expected}" in \
+        _cli_error(d, capsys)
 
 
 def test_non_integer_split_node_error(tmp_path, capsys):
+    # a split vector of floats, or of wider integers, is refused
     d = _copy_toy(tmp_path)
-    (d / "splits.tsv").write_text("0\ttrain\nx\tval\n2\ttest\n")
-    assert "splits.tsv: node id 'x'" in _cli_error(d, capsys)
+    for splits in (np.array([0.0, 1.0, 2.0]), np.array([0, 1, 2])):
+        np.save(d / "splits.npy", splits)
+        assert "splits.npy: the split vector is not a C-order |i1 array" in \
+            _cli_error(d, capsys)
 
 
 def test_label_out_of_range_cli_error_names_file(tmp_path, capsys):
     d = _copy_toy(tmp_path)
-    (d / "labels_A.tsv").write_text("0\t0\n1\t9\n2\t1\n")
-    assert "labels_A.tsv: labels must lie in [-1, 2)" in _cli_error(d, capsys)
+    np.save(d / "labels_A.npy", np.array([0, 9, 1]))
+    assert "labels_A.npy: entry [1] of the label vector is 9, outside " \
+        "[-1, 2)" in _cli_error(d, capsys)
 
 
-def test_disagreeing_reverse_relation_error(tmp_path, capsys):
+@pytest.mark.parametrize("value,got", [
+    (3.9, "float 3.9"), (2.0, "float 2.0"), ("2", "str '2'"),
+    (True, "bool True")], ids=["float", "integral-float", "string", "bool"])
+@pytest.mark.parametrize("field", ["counts", "feature_dims"])
+def test_per_type_manifest_fields_take_json_integers_only(tmp_path, capsys,
+                                                          field, value, got):
     d = _copy_toy(tmp_path)
-    _edit_manifest(d, relations=[["A", "B"], ["B", "A"]])
-    ab = load_dataset(TOY).relations[("A", "B")]
-    r, c = ab.coords()
-    (d / "edges_B_A.tsv").write_text("".join(f"{j}\t{i}\n" for i, j in zip(r, c)))
-    g = load_dataset(d)  # both directions listed and consistent
-    np.testing.assert_array_equal(g.relations[("B", "A")].to_dense(),
-                                  ab.to_dense().T)
-    (d / "edges_B_A.tsv").write_text("0\t0\n")
-    err = _cli_error(d, capsys)
-    assert "edges_B_A.tsv" in err and "edges_A_B.tsv" in err
+    man = json.loads((d / "manifest.json").read_text())
+    _edit_manifest(d, **{field: {**man[field], "B": value}})
+    assert f"manifest.json: {field}['B'] must be an integer, got {got}" \
+        in _cli_error(d, capsys)
 
 
 def test_unlabeled_nodes_default_to_minus_one(tmp_path):
     d = _copy_toy(tmp_path)
-    (d / "labels_A.tsv").write_text("1\t1\n")
+    np.save(d / "labels_A.npy", np.array([-1, 1, -1]))
     g = load_dataset(d)
     np.testing.assert_array_equal(g.labels, [-1, 1, -1])
 
@@ -401,7 +422,7 @@ def test_relation_unknown_type_error(tmp_path):
 
 def test_empty_relation_is_representable(tmp_path):
     d = _copy_toy(tmp_path)
-    (d / "edges_A_B.tsv").write_text("")
+    np.save(d / "edges_A_B.npy", np.zeros((0, 2), dtype=np.int64))
     g = load_dataset(d)
     assert g.relations[("A", "B")].nnz == 0
 

@@ -60,7 +60,7 @@ def test_init_gamma_validation():
 
 def test_init_params_shapes_and_names():
     _, cache, params = small_setup()
-    named = params.all_parameters()
+    named = params.tensors
     assert "gamma.A" in named and named["gamma.A"].shape == (1,)
     assert named["gamma.A-B-A"].shape == (3,)
     assert named["fproj.A.w"].shape == (3, 8)
@@ -87,7 +87,7 @@ def test_init_params_match_oracle_table(num_types, fix_gamma, dtype):
                                fix_gamma=fix_gamma, num_classes=3)
     rows = oracle_init_params(cache, 8, 0.3, np.random.default_rng(4), dtype,
                               fix_gamma, 3)
-    named = params.all_parameters()
+    named = params.tensors
     assert list(named) == [name for name, _, _ in rows]
     for name, ref, trainable in rows:
         t = named[name]
@@ -160,7 +160,7 @@ def test_token_layout_names_every_hop_parameter_and_stored_message():
                 params = init_model_params(cache, hidden=4, heads=2,
                                            alpha=0.3, num_classes=g.num_classes,
                                            rng=np.random.default_rng(seed))
-                named = params.all_parameters()
+                named = params.tensors
                 assert {t.gamma for t in layout} | \
                     {f"{h.projection}.{p}" for t in layout for h in t.hops
                      for p in "wb"} == \
@@ -194,7 +194,7 @@ def test_token_layout_label_hops_of_a_self_relation():
 
 
 def _taped_loss(g, cache, params):
-    named = params.all_parameters()
+    named = params.tensors
     for t in named.values():
         t.grad = None
     with ad.Tape() as tape:
@@ -215,7 +215,7 @@ def test_prefix_projection_matches_per_path_oracle(monkeypatch, dtype, rtol):
     monkeypatch.setattr("ahgnn.model.path_embeddings", oracle_path_embeddings)
     ref_logits, ref_grads = _taped_loss(g, cache, params)
     np.testing.assert_array_equal(logits, ref_logits)
-    assert sorted(grads) == sorted(ref_grads) == sorted(params.all_parameters())
+    assert sorted(grads) == sorted(ref_grads) == sorted(params.tensors)
     for name, gr in grads.items():
         scale = max(float(np.max(np.abs(ref_grads[name]))), 1e-30)
         assert np.max(np.abs(gr - ref_grads[name])) <= rtol * scale, name
@@ -386,7 +386,7 @@ def test_full_model_grad_check():
     from ahgnn.autodiff import grad_check
     from ahgnn.train import training_loss
 
-    tensors = list(params.all_parameters().values())
+    tensors = list(params.tensors.values())
 
     def loss_of(*_):
         out = model_forward(cache, params)
@@ -417,9 +417,9 @@ def test_checkpoint_round_trip(tmp_path):
     config, arrays = load_checkpoint(tmp_path / "m.ahgm")
     assert config == cfg
     restored = restore_model_params(arrays, cache, config)
-    for name, tsr in params.all_parameters().items():
+    for name, tsr in params.tensors.items():
         np.testing.assert_array_equal(
-            restored.all_parameters()[name].data, tsr.data, err_msg=name)
+            restored.tensors[name].data, tsr.data, err_msg=name)
 
 
 def test_checkpoint_writes_identical_bytes(tmp_path):
@@ -456,7 +456,7 @@ def test_checkpoint_layout_is_the_container_byte_for_byte(tmp_path):
     _, _, params = small_setup(dtype=np.float64)
     cfg = {"hidden": 8, "heads": 2}
     save_checkpoint(params, cfg, tmp_path / "m.ahgm")
-    tensors = params.all_parameters()
+    tensors = params.tensors
     names = sorted(tensors)
     write_container(tmp_path / "ref.ahgm", CHECKPOINT_MAGIC, 2,
                     {"config": cfg, "params": names},

@@ -322,9 +322,9 @@ def test_train_is_deterministic_for_a_seed():
     a = train(g, cache, cfg)
     b = train(g, cache, cfg)
     assert [r.__dict__ for r in a.history] == [r.__dict__ for r in b.history]
-    for name, tsr in a.params.all_parameters().items():
+    for name, tsr in a.params.tensors.items():
         np.testing.assert_array_equal(tsr.data,
-                                      b.params.all_parameters()[name].data,
+                                      b.params.tensors[name].data,
                                       err_msg=name)
     c = train(g, cache, tiny_config(max_epochs=6, seed=1))
     assert [r.loss for r in c.history] != [r.loss for r in a.history]
