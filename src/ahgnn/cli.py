@@ -1,9 +1,12 @@
 """Command-line entry points.
 
 Subcommands: analyze, precompute, train, eval, synth, verify-spectral,
-grad-check.  Every run writes run.json (the resolved configuration and
-seed) into its output directory.  Exit codes: 0 success, 1 validation
-or input failure, 2 unexpected runtime failure.
+grad-check.  Each handler returns its exit code and the directory it
+wrote to (precompute: the cache's directory); when it returns, the
+dispatcher writes run.json (the resolved arguments, seed included)
+there, whatever the code.  A run stopped by an error writes none.
+Exit codes: 0 success, 1 validation or input failure, 2 unexpected
+runtime failure.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .autodiff import grad_check
-from .graph import load_dataset, save_dataset
+from .graph import load_dataset, save_dataset, write_json
 from .metapath import build_homophily_report, write_homophily_csv
 from .model import (gamma_table, beta_table, init_gamma, init_model_params,
                     load_checkpoint, model_forward, restore_model_params,
@@ -28,7 +31,7 @@ from .spectral import (MAX_DENSE_NODES, random_connected_adjacency,
 from .synth import RewireSpec, ToySpec, generate_toy, rewire_to_homophily
 from .train import (TrainConfig, evaluate_split, labeled_rows, train,
                     training_loss, write_beta_csv, write_gamma_csv,
-                    write_metrics_csv, write_run_json)
+                    write_metrics_csv)
 
 
 # train's valued flags (argparse dests) -> the TrainConfig field each
@@ -66,15 +69,7 @@ def _outdir(args) -> Path:
     return out
 
 
-def _run_config(args) -> dict:
-    cfg = {k: v for k, v in vars(args).items() if k != "handler"}
-    for k, v in cfg.items():
-        if isinstance(v, Path):
-            cfg[k] = str(v)
-    return cfg
-
-
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> tuple[int, Path]:
     if args.depth < 2:
         raise ValueError(f"--depth must be at least 2 (the shortest "
                          f"target-to-target meta-path), got {args.depth}")
@@ -82,26 +77,24 @@ def _cmd_analyze(args) -> int:
     report = build_homophily_report(g, max_len=args.depth)
     out = _outdir(args)
     write_homophily_csv(report, out / "homophily_report.csv")
-    write_run_json(_run_config(args), out / "run.json")
     for p in report.paths:
         h = "no-edges" if p.global_ratio is None else f"{p.global_ratio:.4f}"
         print(f"{p.key}: h={h} edges={p.n_edges}")
     print(f"graph-level homophily (depth {args.depth}): "
           f"{report.graph_level:.4f}")
-    return 0
+    return 0, out
 
 
-def _cmd_precompute(args) -> int:
+def _cmd_precompute(args) -> tuple[int, Path]:
     g = load_dataset(args.data)
     cache = build_cache(g, args.l1, args.l2)
     out = Path(args.out) if args.out else default_cache_path(Path(args.data))
     out.parent.mkdir(parents=True, exist_ok=True)
     write_cache(cache, out)
-    write_run_json(_run_config(args), out.parent / "run.json")
     n_f, n_l = len(cache.feature_messages), len(cache.label_messages)
     print(f"wrote {out} ({n_f} feature paths, {n_l} label paths: "
           f"{n_f + n_l} stored matrices)")
-    return 0
+    return 0, out.parent
 
 
 def _load_or_build_cache(g, data, cache, l1: int, l2: int):
@@ -114,7 +107,7 @@ def _load_or_build_cache(g, data, cache, l1: int, l2: int):
                       expect_l1=l1, expect_l2=l2)
 
 
-def _cmd_train(args) -> int:
+def _cmd_train(args) -> tuple[int, Path]:
     g = load_dataset(args.data)
     cache = _load_or_build_cache(g, args.data, args.cache, args.l1, args.l2)
     config = TrainConfig(**{f: getattr(args, d) for d, f in TRAIN_FLAGS.items()},
@@ -127,17 +120,16 @@ def _cmd_train(args) -> int:
     final = model_forward(cache.astype(config.dtype), result.params)
     write_beta_csv(beta_table(final), out / "beta.csv")
     save_checkpoint(result.params, config.to_dict(), out / "model.ahgm")
-    write_run_json(_run_config(args), out / "run.json")
     if result.diverged:
         print("training diverged (non-finite loss); kept the last finite "
               "parameters", file=sys.stderr)
     print(f"best epoch {result.best_epoch}: val micro-F1 "
           f"{result.best_val_micro:.4f}; test micro-F1 "
           f"{result.test.micro_f1:.4f}, macro-F1 {result.test.macro_f1:.4f}")
-    return 0
+    return 0, out
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> tuple[int, Path]:
     g = load_dataset(args.data)
     raw, arrays = load_checkpoint(args.checkpoint)
     try:
@@ -151,14 +143,13 @@ def _cmd_eval(args) -> int:
     mask = g.val_mask if args.split == "val" else g.test_mask
     m = evaluate_split(cache, params, g.labels, mask, config.dtype)
     out = _outdir(args)
-    write_run_json({"split": args.split, "macro_f1": m.macro_f1,
-                    "micro_f1": m.micro_f1}, out / "eval.json")
-    write_run_json(_run_config(args), out / "run.json")
+    write_json({"split": args.split, "macro_f1": m.macro_f1,
+                "micro_f1": m.micro_f1}, out / "eval.json")
     print(f"{args.split} micro-F1 {m.micro_f1:.4f}, macro-F1 {m.macro_f1:.4f}")
-    return 0
+    return 0, out
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args) -> tuple[int, Path]:
     out = Path(args.out)
     if args.data:
         g = load_dataset(args.data)
@@ -177,11 +168,10 @@ def _cmd_synth(args) -> int:
                                  max_rewire=args.max_iterations))
         save_dataset(g, out)
         print(f"wrote toy dataset to {out}")
-    write_run_json(_run_config(args), out / "run.json")
-    return 0
+    return 0, out
 
 
-def _cmd_verify_spectral(args) -> int:
+def _cmd_verify_spectral(args) -> tuple[int, Path]:
     if args.graphs < 1:
         raise ValueError(f"--graphs must be at least 1, got {args.graphs}")
     if not 2 <= args.max_nodes <= MAX_DENSE_NODES:
@@ -200,14 +190,13 @@ def _cmd_verify_spectral(args) -> int:
             failures += 1
             print(f"n={n}: {report.summary()}", file=sys.stderr)
     out = _outdir(args)
-    write_run_json(_run_config(args), out / "run.json")
     print(f"{args.graphs - failures}/{args.graphs} graphs passed "
           f"(worst damping margin {worst_margin:.3e}, alpha={args.alpha}, "
           f"hops={args.hops})")
-    return 0 if failures == 0 else 1
+    return (0 if failures == 0 else 1), out
 
 
-def _cmd_grad_check(args) -> int:
+def _cmd_grad_check(args) -> tuple[int, Path]:
     if args.coords_per_param < 1:
         raise ValueError(f"--coords-per-param must be at least 1, "
                          f"got {args.coords_per_param}")
@@ -230,10 +219,9 @@ def _cmd_grad_check(args) -> int:
     result = grad_check(loss_of, tensors, max_coords=args.coords_per_param,
                         rng=np.random.default_rng(args.seed + 1))
     out = _outdir(args)
-    write_run_json(_run_config(args), out / "run.json")
     print(f"checked {result.n_coords} coordinates, max relative error "
           f"{result.max_rel_err:.3e}")
-    return 0 if result.max_rel_err <= args.tolerance else 1
+    return (0 if result.max_rel_err <= args.tolerance else 1), out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -323,7 +311,10 @@ def dispatch(argv: list[str]) -> int:
         parser.print_help()
         return 1
     try:
-        return args.handler(args)
+        code, out = args.handler(args)
+        write_json({k: v for k, v in vars(args).items() if k != "handler"},
+                   out / "run.json")
+        return code
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -21,11 +21,15 @@ bit-exact.
 
 `write_npy` and `read_npy` are the one .npy writer and reader of the
 package: the records here, and the arrays of the message cache and the
-checkpoint (`propagate.write_arrays`, `read_arrays`).
+checkpoint (`propagate.write_arrays`, `read_arrays`).  `write_csv` and
+`write_json` are its one CSV and JSON text writers: every run artifact
+(metrics, hop weights, influence factors, homophily report, eval.json,
+run.json) and manifest.json.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
@@ -216,7 +220,26 @@ def manifest_dict(g: HeteroGraph) -> dict:
 
 def manifest_bytes(g: HeteroGraph) -> bytes:
     """Canonical manifest serialization; save_dataset writes exactly this."""
-    return (json.dumps(manifest_dict(g), indent=2, sort_keys=True) + "\n").encode()
+    return json_bytes(manifest_dict(g))
+
+
+def json_bytes(obj) -> bytes:
+    """`obj` as JSON text: two-space indent, sorted keys, final newline."""
+    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+
+
+def write_json(obj, path) -> None:
+    Path(path).write_bytes(json_bytes(obj))
+
+
+def write_csv(path, header, rows) -> None:
+    """Write `header`, then `rows`: a float (Python or numpy) as %.10g,
+    None as an empty cell (csv's own rule), any other value as it is."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows([f"{v:.10g}" if isinstance(v, (float, np.floating))
+                     else v for v in row] for row in rows)
 
 
 def write_npy(f, a, dtype: str) -> None:
@@ -290,7 +313,7 @@ def save_dataset(g: HeteroGraph, path) -> None:
     g.validate()
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    (path / "manifest.json").write_bytes(manifest_bytes(g))
+    write_json(manifest_dict(g), path / "manifest.json")
     records = {f"features_{t}": (g.features[t], "<f8") for t in g.node_types}
     for a, b in sorted(g.relations):
         if a <= b:

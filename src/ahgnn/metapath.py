@@ -21,13 +21,12 @@ peaks at 59 MB.  At 6,400 target nodes a depth-4 graph_homophily takes
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import HeteroGraph, Schema
+from .graph import HeteroGraph, Schema, write_csv
 from .sparse import SparseMatrix, normalize_relation, spspmm
 
 
@@ -507,13 +506,9 @@ def build_homophily_report(graph: HeteroGraph, max_len: int = 4) -> HomophilyRep
 
 
 def write_homophily_csv(report: HomophilyReport, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        nbins = len(report.paths[0].histogram) if report.paths \
-            else HISTOGRAM_BINS
-        w.writerow(["metapath", "global_h", "n_edges"]
-                   + [f"bin{i}" for i in range(nbins)])
-        for p in report.paths:
-            h = "" if p.global_ratio is None else f"{p.global_ratio:.10g}"
-            w.writerow([p.key, h, p.n_edges] + [int(x) for x in p.histogram])
-        w.writerow(["graph_level", f"{report.graph_level:.10g}", "", *[""] * nbins])
+    nbins = len(report.paths[0].histogram) if report.paths else HISTOGRAM_BINS
+    write_csv(path, ["metapath", "global_h", "n_edges"]
+              + [f"bin{i}" for i in range(nbins)],
+              [[p.key, p.global_ratio, p.n_edges, *p.histogram]
+               for p in report.paths]
+              + [["graph_level", report.graph_level] + [None] * (nbins + 1)])

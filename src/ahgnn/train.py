@@ -17,15 +17,13 @@ after the loop, and the closing test score forwards only the test rows.
 
 from __future__ import annotations
 
-import csv
-import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .graph import HeteroGraph
+from .graph import HeteroGraph, write_csv
 from .model import (ModelOutput, ModelParams, init_model_params,
                     model_forward)
 from .propagate import MessageCache
@@ -398,32 +396,12 @@ def train(graph: HeteroGraph, cache: MessageCache,
 
 
 def write_metrics_csv(history: list[EpochRow], path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["epoch", "loss", "train_micro", "val_macro", "val_micro"])
-        for row in history:
-            w.writerow([row.epoch, f"{row.loss:.10g}",
-                        f"{row.train_micro:.10g}",
-                        f"{row.val_macro:.10g}", f"{row.val_micro:.10g}"])
+    write_csv(path, [f.name for f in fields(EpochRow)], map(astuple, history))
 
 
 def write_gamma_csv(rows: list[tuple[str, int, float]], path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["path", "hop", "value"])
-        for key, hop, val in rows:
-            w.writerow([key, hop, f"{val:.10g}"])
+    write_csv(path, ["path", "hop", "value"], rows)
 
 
 def write_beta_csv(rows: list[tuple[str, float]], path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["path", "beta"])
-        for key, val in rows:
-            w.writerow([key, f"{val:.10g}"])
-
-
-def write_run_json(config: dict, path) -> None:
-    with open(path, "w") as f:
-        json.dump(config, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_csv(path, ["path", "beta"], rows)
