@@ -14,7 +14,8 @@ record (format 1.0, C order, no pickles) per array:
 
 The manifest lists both directions of every cross-type relation; the
 loader reads each type pair's one file and `HeteroGraph.create` builds
-the other direction as its transpose.  Every record is checked against
+the other direction as its transpose (a reverse relation given to it, or
+to `save_dataset`, must be the transpose).  Every record is checked against
 the manifest, and malformed input raises DatasetError naming the file or
 field.  No value is parsed from text, so a save/load round trip is
 bit-exact.
@@ -89,8 +90,10 @@ class HeteroGraph:
     @staticmethod
     def create(node_types, counts, features, relations, target_type,
                labels, num_classes, splits) -> "HeteroGraph":
-        """Build a validated graph, materializing missing transposes."""
+        """Build a validated graph, materializing missing transposes; a
+        given reverse relation must be the transpose."""
         rels = dict(relations)
+        given = [(a, b) for a, b in rels if a < b and (b, a) in rels]
         for (a, b), m in list(rels.items()):
             if a != b and (b, a) not in rels:
                 rels[(b, a)] = m.transpose()
@@ -105,6 +108,7 @@ class HeteroGraph:
             splits=np.asarray(splits, dtype=np.int8),
         )
         g.validate()
+        _check_reverses(g.relations, given)
         return g
 
     def validate(self) -> None:
@@ -205,6 +209,15 @@ class HeteroGraph:
         for a in arrays + [self.labels, self.splits]:
             h.update(np.ascontiguousarray(a))
         return int.from_bytes(h.digest(), "little")
+
+
+def _check_reverses(relations: dict, pairs) -> None:
+    """Raise unless relation (b, a) is the transpose of (a, b) for each
+    pair (a, b) in `pairs`."""
+    for a, b in pairs:
+        if relations[(b, a)] != relations[(a, b)].transpose():
+            raise DatasetError(f"relation ({b!r}, {a!r}) is not the "
+                               f"transpose of relation ({a!r}, {b!r})")
 
 
 def manifest_dict(g: HeteroGraph) -> dict:
@@ -309,8 +322,11 @@ def _per_type(man: dict, key: str, node_types) -> dict[str, int]:
 
 
 def save_dataset(g: HeteroGraph, path) -> None:
-    """Write the dataset directory; output bytes are deterministic."""
+    """Write the dataset directory; output bytes are deterministic.  Only
+    one direction of each relation is stored, so a graph whose reverse
+    relation is not the transpose is refused before any file is written."""
     g.validate()
+    _check_reverses(g.relations, [(a, b) for a, b in g.relations if a < b])
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     write_json(manifest_dict(g), path / "manifest.json")
@@ -332,8 +348,8 @@ def save_dataset(g: HeteroGraph, path) -> None:
 def _read_record(path: Path, dtype: str, what: str, shape: tuple,
                  bounds: tuple | None = None) -> np.ndarray:
     """The one `dtype` record that is the file `path`, of `shape` (None:
-    any length) and, given `bounds` (lo, hi), with entries in [lo, hi);
-    hi may give one bound per column."""
+    any length) and with entries in [lo, hi) given `bounds` (lo, hi),
+    where hi may give one bound per column, else finite ones."""
     if not path.is_file():
         old = path.with_suffix(".tsv")
         raise DatasetError(f"{path.name} not found" + (
@@ -348,14 +364,17 @@ def _read_record(path: Path, dtype: str, what: str, shape: tuple,
             want not in (None, n) for n, want in zip(a.shape, shape)):
         raise DatasetError(f"{path.name} has shape {a.shape}, expected "
                            + str(shape).replace("None", "nnz"))
-    if bounds is not None:
+    if bounds is None:
+        bad = np.argwhere(~np.isfinite(a))
+    else:
         lo, hi, _ = np.broadcast_arrays(*bounds, a)
         bad = np.argwhere((a < lo) | (a >= hi))
-        if bad.size:
-            i = tuple(bad[0])
-            raise DatasetError(
-                f"{path.name}: entry [{', '.join(map(str, i))}] of {what} "
-                f"is {a[i]}, outside [{lo[i]}, {hi[i]})")
+    if bad.size:
+        i = tuple(bad[0])
+        rule = ("not finite" if bounds is None
+                else f"outside [{lo[i]}, {hi[i]})")
+        raise DatasetError(f"{path.name}: entry [{', '.join(map(str, i))}] "
+                           f"of {what} is {a[i]}, {rule}")
     return a
 
 

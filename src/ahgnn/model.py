@@ -253,6 +253,8 @@ def model_forward(cache: MessageCache, params: ModelParams) -> ModelOutput:
 def predict_logits(cache: MessageCache, params: ModelParams,
                    batch_size: int | None = None) -> np.ndarray:
     """Forward pass without recording gradients, optionally in row chunks."""
+    if batch_size is not None and batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     n = cache.n_target
     if batch_size is None or batch_size >= n:
         return model_forward(cache, params).logits.data.copy()

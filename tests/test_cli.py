@@ -456,6 +456,52 @@ def test_counts_that_make_a_check_vacuous_exit_one(argv, flag, tmp_path,
     assert not out.exists()  # rejected before any work started
 
 
+@pytest.mark.parametrize("argv, code, where", [
+    (["synth", "--out", "{tmp}/stage", "--n-target", "12", "--n-aux", "6",
+      "--homophily", "1.0", "--seed", "3"], 0, "stage"),
+    (["synth", "--data", "{data}", "--out", "{tmp}/stage",
+      "--homophily", "0.5"], 0, "stage"),
+    (["analyze", "--data", "{data}", "--depth", "2", "--out", "{tmp}/stage"],
+     0, "stage"),
+    (["analyze", "--data", "{data}", "--depth", "1", "--out", "{tmp}/stage"],
+     1, None),
+    (["precompute", "--data", "{data}", "--out", "{tmp}/stage/c.ahgc"],
+     0, "stage"),
+    (["train", "--data", "{data}", "--out", "{tmp}/stage", "--epochs", "1",
+      "--hidden", "8", "--heads", "2"], 0, "stage"),
+    (["eval", "--data", "{data}", "--checkpoint", "{tmp}/ckpt/model.ahgm",
+      "--split", "val", "--out", "{tmp}/stage"], 0, "stage"),
+    (["verify-spectral", "--graphs", "2", "--max-nodes", "5",
+      "--out", "{tmp}/stage"], 0, "stage"),
+    (["grad-check", "--coords-per-param", "1", "--out", "{tmp}/stage"],
+     0, "stage"),
+    (["grad-check", "--coords-per-param", "1", "--tolerance", "-1",
+      "--out", "{tmp}/stage"], 1, "stage"),
+], ids=["synth", "synth-data", "analyze", "analyze-depth-1", "precompute",
+        "train", "eval", "verify-spectral", "grad-check",
+        "grad-check-exit-1"])
+def test_run_json_is_the_resolved_arguments_where_the_stage_writes(
+        argv, code, where, toy_dir, tmp_path, capsys, monkeypatch):
+    # `where` is the one directory that gains run.json (precompute: the
+    # cache's); a run rejected before any work writes none
+    monkeypatch.delenv("AHGNN_CACHE_DIR", raising=False)
+    if argv[0] == "eval":
+        run_ok(["train", "--data", str(toy_dir), "--out",
+                str(tmp_path / "ckpt"), "--epochs", "1", "--hidden", "8",
+                "--heads", "2"], capsys)
+    argv = [a.format(data=toy_dir, tmp=tmp_path) for a in argv]
+    before = set(tmp_path.rglob("run.json"))
+    assert dispatch(argv) == code, capsys.readouterr().err
+    written = set(tmp_path.rglob("run.json")) - before
+    if where is None:
+        assert not written
+        return
+    assert written == {tmp_path / where / "run.json"}
+    resolved = vars(build_parser().parse_args(argv))
+    del resolved["handler"]
+    assert json.loads((tmp_path / where / "run.json").read_text()) == resolved
+
+
 def test_version_flag_exits_zero(capsys):
     assert dispatch(["--version"]) == 0
     assert "ahgnn" in capsys.readouterr().out

@@ -101,6 +101,33 @@ def test_create_rejects_negative_and_nan_weights():
                 "A", [0, 1], 2, [0, 1])
 
 
+def test_a_given_reverse_relation_must_be_the_transpose(tmp_path):
+    # a dataset stores one direction per type pair, so a reverse relation
+    # other than the transpose would be swapped for it by a round trip
+    g = small_graph()
+    m = g.relations[("A", "B")]
+    n = SparseMatrix.from_dense([[1.0, 0, 0], [0, 1, 1]])  # 2 x 3, not m.T
+    assert n != m.transpose()
+    message = (r"relation \('B', 'A'\) is not the transpose of "
+               r"relation \('A', 'B'\)")
+
+    def create(relations):
+        return HeteroGraph.create(g.node_types, g.counts, g.features,
+                                  relations, g.target_type, g.labels,
+                                  g.num_classes, g.splits)
+
+    for relations in ({("A", "B"): m, ("B", "A"): n},
+                      {("B", "A"): n, ("A", "B"): m}):
+        with pytest.raises(DatasetError, match=message):
+            create(relations)
+    assert create({("B", "A"): m.transpose(), ("A", "B"): m}).fingerprint \
+        == g.fingerprint
+    with pytest.raises(DatasetError, match=message):
+        save_dataset(replace(g, relations={**g.relations, ("B", "A"): n}),
+                     tmp_path / "d")
+    assert not (tmp_path / "d").exists()  # refused before any file
+
+
 def test_round_trip_is_bit_exact(tmp_path):
     g = small_graph()
     save_dataset(g, tmp_path / "d")
@@ -364,6 +391,17 @@ def test_malformed_manifest_error(tmp_path, capsys, fields, names):
     err = _cli_error(d, capsys)
     for name in names:
         assert name in err
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_non_finite_feature_names_the_file(tmp_path, capsys, value):
+    d = _copy_toy(tmp_path)
+    x = np.load(d / "features_A.npy")
+    x[2, 1] = value
+    np.save(d / "features_A.npy", x)
+    assert (f"features_A.npy: entry [2, 1] of the feature matrix is {value}, "
+            "not finite") in _cli_error(d, capsys)
 
 
 @pytest.mark.parametrize("name,shape,expected", [

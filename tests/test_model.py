@@ -379,6 +379,9 @@ def test_batch_size_invariance():
     for bs in (1, 5, 7, 12, 100):
         np.testing.assert_allclose(predict_logits(cache, params, batch_size=bs),
                                    full, rtol=1e-10, atol=1e-12)
+    for bs in (0, -3):
+        with pytest.raises(ValueError, match="batch_size must be at least 1"):
+            predict_logits(cache, params, batch_size=bs)
 
 
 def test_full_model_grad_check():
