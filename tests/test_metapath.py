@@ -1,5 +1,7 @@
+import re
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -10,7 +12,7 @@ import scipy.sparse as sp
 import ahgnn.metapath
 from ahgnn.graph import HeteroGraph, load_dataset
 from ahgnn.metapath import (IncrementalHomophily, MetaPath, PathProducts,
-                            build_homophily_report, enumerate_metapaths,
+                            _path_counts, build_homophily_report, enumerate_metapaths,
                             global_homophily, graph_homophily,
                             homophily_histogram, induced_adjacency,
                             local_homophily, write_homophily_csv)
@@ -461,12 +463,13 @@ def test_flip_count_matches_dense_recount_on_random_terms():
         labels = rng.integers(-1, 3, size=n)
         walks = rng.integers(0, 4, size=(n, n)) * (rng.random((n, n)) < 0.4)
         terms = random_terms(rng, walks)
-        evaluator = SimpleNamespace(kind=pair_kinds(labels).astype(np.int8))
+        evaluator = SimpleNamespace(labels=labels)
         assert IncrementalHomophily._flips(evaluator, walks, terms) \
             == dense_flip_count(walks, pair_kinds(labels), terms)
 
 
-def test_flip_count_matches_dense_recount_through_a_self_relation(monkeypatch):
+def self_relation_graph() -> HeteroGraph:
+    """A 20-node toy plus a random multiplicity relation from A to A."""
     g = generate_toy(ToySpec(n_target=20, n_aux=8, num_classes=3,
                              feature_dim=2, edges_per_node=2, homophily=1.0))
     rng = np.random.default_rng(0)
@@ -474,8 +477,12 @@ def test_flip_count_matches_dense_recount_through_a_self_relation(monkeypatch):
     relations[("A", "A")] = SparseMatrix.from_coo(
         20, 20, rng.integers(0, 20, 30), rng.integers(0, 20, 30),
         rng.integers(1, 3, 30))
-    g = HeteroGraph.create(g.node_types, g.counts, g.features, relations,
-                           "A", g.labels, g.num_classes, g.splits)
+    return HeteroGraph.create(g.node_types, g.counts, g.features, relations,
+                              "A", g.labels, g.num_classes, g.splits)
+
+
+def test_flip_count_matches_dense_recount_through_a_self_relation(monkeypatch):
+    g = self_relation_graph()
     flips = IncrementalHomophily._flips
     sizes = []
 
@@ -489,6 +496,60 @@ def test_flip_count_matches_dense_recount_through_a_self_relation(monkeypatch):
     res = rewire_to_homophily(g, RewireSpec(target_h=0.3, seed=0, depth=4,
                                             max_iterations=300))
     assert res.accepted > 0 and max(sizes) >= 3
+
+
+def dense_path_counts(graph, path):
+    """(same-label, all) qualifying nonzeros of a path's dense walk product."""
+    walks = reduce(np.matmul, (graph.relations[pair].to_dense()
+                               for pair in zip(path, path[1:])))
+    kind = pair_kinds(graph.labels)[walks != 0]
+    return int(np.count_nonzero(kind == 2)), int(np.count_nonzero(kind))
+
+
+def test_rewired_walks_stay_the_product_of_the_current_steps(monkeypatch):
+    built = []
+
+    class Recorded(IncrementalHomophily):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(ahgnn.synth, "IncrementalHomophily", Recorded)
+    accepted = 0
+    for g in [random_typed_graph(s) for s in range(20)] + [self_relation_graph()]:
+        for target in (0.1, 0.9):
+            del built[:]
+            try:
+                res = rewire_to_homophily(g, RewireSpec(
+                    target_h=target, seed=0, depth=4, max_iterations=300))
+            except ValueError:
+                continue   # no cross-type relation or no qualifying path
+            for ev in built:
+                for prefix, walks in ev.walks.items():
+                    want = reduce(np.matmul, (ev.steps[pair] for pair
+                                              in zip(prefix, prefix[1:])))
+                    assert walks.flags.c_contiguous, prefix
+                    assert np.array_equal(walks, want), prefix
+                assert ev.counts == [dense_path_counts(res.graph, path)
+                                     for path in ev.paths]
+                accepted += res.accepted
+    assert accepted > 0
+
+
+def test_start_counts_are_the_path_sums_of_the_blocked_counts():
+    for g in (random_typed_graph(s) for s in range(60)):
+        t = g.target_type
+        movable = sorted(b for a, b in g.relations if a == t and b != t)
+        for depth in (2, 3, 4, 5):
+            try:
+                want = [(p.types, int(same.sum()), int(total.sum()))
+                        for p, same, total in _path_counts(g, depth)]
+            except ValueError as e:
+                with pytest.raises(ValueError, match=re.escape(str(e))):
+                    IncrementalHomophily(g, depth, movable)
+                continue
+            ev = IncrementalHomophily(g, depth, movable)
+            assert [(p, *c) for p, c in zip(ev.paths, ev.counts)] == want
 
 
 def test_analysis_demo_runs():
