@@ -121,11 +121,14 @@ def _cmd_train(args) -> tuple[int, Path]:
     write_beta_csv(beta_table(final), out / "beta.csv")
     save_checkpoint(result.params, config.to_dict(), out / "model.ahgm")
     if result.diverged:
-        print("training diverged (non-finite loss); kept the last finite "
-              "parameters", file=sys.stderr)
-    print(f"best epoch {result.best_epoch}: val micro-F1 "
-          f"{result.best_val_micro:.4f}; test micro-F1 "
-          f"{result.test.micro_f1:.4f}, macro-F1 {result.test.macro_f1:.4f}")
+        print(f"training diverged: the {result.non_finite} turned "
+              "non-finite; kept the best-validation parameters",
+              file=sys.stderr)
+    best = (f"best epoch {result.best_epoch}: val micro-F1 "
+            f"{result.best_val_micro:.4f}" if result.history
+            else "no epoch completed: initial parameters kept")
+    print(f"{best}; test micro-F1 {result.test.micro_f1:.4f}, "
+          f"macro-F1 {result.test.macro_f1:.4f}")
     return 0, out
 
 

@@ -101,7 +101,11 @@ class ModelParams:
     tensors: dict[str, Tensor]
 
     def all_parameters(self) -> dict[str, Tensor]:
-        """The parameter table itself, in its stable, checkpointable order."""
+        """The parameter table itself, in its stable, checkpointable order.
+
+        The package reads `tensors`; this stays for the gradient gate in
+        tests/test_acceptance.py, which calls it.
+        """
         return self.tensors
 
 

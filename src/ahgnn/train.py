@@ -287,22 +287,34 @@ class TrainResult:
     best_epoch: int
     best_val_micro: float
     test: Metrics
-    diverged: bool = False
+    # what turned non-finite and in which epoch, None when nothing did
+    non_finite: str | None = None
     rejected_epochs: list[int] = field(default_factory=list)
+
+    @property
+    def diverged(self) -> bool:
+        return self.non_finite is not None
 
 
 def _snapshot(params: ModelParams) -> dict[str, np.ndarray]:
-    return {n: t.data.copy() for n, t in params.all_parameters().items()}
+    return {n: t.data.copy() for n, t in params.tensors.items()}
 
 
 def _restore(params: ModelParams, snap: dict[str, np.ndarray]) -> None:
-    for n, t in params.all_parameters().items():
+    for n, t in params.tensors.items():
         t.data = snap[n].copy()
 
 
 def train(graph: HeteroGraph, cache: MessageCache,
           config: TrainConfig) -> TrainResult:
-    """Train to convergence or max_epochs; returns best-validation params."""
+    """Train to convergence or max_epochs; returns best-validation params.
+
+    A run diverges when its loss, or a forward's overflow or invalid
+    value, turns non-finite: the loop ends there, the epoch whose
+    validation forward failed is not recorded, and the best-validation
+    parameters are restored and scored on test as after any other run.
+    An epoch whose next taped forward failed keeps a NaN train micro-F1.
+    """
     config.validate()
     if cache.l1 != config.l1 or cache.l2 != config.l2:
         raise ValueError(
@@ -314,15 +326,9 @@ def train(graph: HeteroGraph, cache: MessageCache,
                                rng, dtype=dtype,
                                fix_gamma=config.fix_gamma_uniform,
                                num_classes=graph.num_classes)
-    named = params.all_parameters()
+    named = params.tensors
     opt = Adam(lr=config.lr, weight_decay=config.weight_decay)
     labels = graph.labels
-    train_mask = graph.train_mask & (labels >= 0)
-    if not np.any(train_mask):
-        raise ValueError("train split holds no labeled node")
-    val_mask = graph.val_mask & (labels >= 0)
-    if not np.any(val_mask):
-        raise ValueError("validation split holds no labeled node")
 
     # The model is row-independent, so each forward runs on the rows it
     # is read on: the taped step on the train rows (the loss reads no
@@ -330,14 +336,16 @@ def train(graph: HeteroGraph, cache: MessageCache,
     # Epoch e's train micro-F1 comes from epoch e+1's taped logits, made
     # by the same post-step parameters; only the last recorded epoch
     # needs a train-row forward of its own, after the loop.
-    train_rows = np.flatnonzero(train_mask)
-    train_cache = cache.take_rows(train_rows).astype(dtype)
-    train_labels = labels[train_rows]
-    train_all = np.ones(train_rows.size, dtype=bool)
-    val_rows = np.flatnonzero(val_mask)
-    val_cache = cache.take_rows(val_rows).astype(dtype)
-    val_labels = labels[val_rows]
-    val_all = np.ones(val_rows.size, dtype=bool)
+    def split(mask: np.ndarray, name: str):
+        """(cache, labels, all-true mask) of a split's labeled rows."""
+        rows = np.flatnonzero(mask & (labels >= 0))
+        if rows.size == 0:
+            raise ValueError(f"{name} split holds no labeled node")
+        return (cache.take_rows(rows).astype(dtype), labels[rows],
+                np.ones(rows.size, dtype=bool))
+
+    train_cache, train_labels, train_all = split(graph.train_mask, "train")
+    val_cache, val_labels, val_all = split(graph.val_mask, "validation")
 
     def train_micro(logits: np.ndarray) -> float:
         return evaluate(logits, train_labels, train_all).micro_f1
@@ -348,26 +356,36 @@ def train(graph: HeteroGraph, cache: MessageCache,
     best_val = -1.0
     best_epoch = 0
     bad_epochs = 0
-    diverged = False
+    non_finite = None
 
     for epoch in range(1, config.max_epochs + 1):
         for t in named.values():
             t.grad = None
-        with ad.Tape() as tape:
-            out = model_forward(train_cache, params)
-            loss, _ = training_loss(out, train_labels, train_all,
-                                    config.lambda1, config.lambda2)
+        try:
+            with np.errstate(over="raise", invalid="raise"), \
+                    ad.Tape() as tape:
+                out = model_forward(train_cache, params)
+                loss, _ = training_loss(out, train_labels, train_all,
+                                        config.lambda1, config.lambda2)
+        except FloatingPointError:
+            non_finite = f"taped forward of epoch {epoch}"
+            break
         if history:
             history[-1].train_micro = train_micro(out.logits.data)
         loss_val = float(loss.data)
         if not np.isfinite(loss_val):
-            diverged = True
+            non_finite = f"loss of epoch {epoch}"
             break
         tape.backward(loss)
         if not opt.step(named):
             rejected.append(epoch)
-        m = evaluate(model_forward(val_cache, params).logits.data,
-                     val_labels, val_all)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                logits = model_forward(val_cache, params).logits.data
+        except FloatingPointError:
+            non_finite = f"validation forward of epoch {epoch}"
+            break
+        m = evaluate(logits, val_labels, val_all)
         history.append(EpochRow(epoch=epoch, loss=loss_val,
                                 train_micro=float("nan"),
                                 val_macro=m.macro_f1, val_micro=m.micro_f1))
@@ -381,7 +399,7 @@ def train(graph: HeteroGraph, cache: MessageCache,
             if bad_epochs > config.patience:
                 break
 
-    if not diverged:
+    if non_finite is None:
         history[-1].train_micro = train_micro(
             model_forward(train_cache, params).logits.data)
     _restore(params, best)
@@ -391,7 +409,8 @@ def train(graph: HeteroGraph, cache: MessageCache,
     else:
         test = Metrics(macro_f1=float("nan"), micro_f1=float("nan"))
     return TrainResult(params=params, history=history, best_epoch=best_epoch,
-                       best_val_micro=best_val, test=test, diverged=diverged,
+                       best_val_micro=best_val, test=test,
+                       non_finite=non_finite,
                        rejected_epochs=rejected)
 
 

@@ -111,6 +111,21 @@ def test_train_eval_round_trip(toy_dir, tmp_path, capsys, monkeypatch):
     assert (eout / "run.json").is_file()
 
 
+def test_a_diverging_train_run_writes_every_artifact(tmp_path, capsys):
+    data, out = tmp_path / "d", tmp_path / "o"
+    run_ok(["synth", "--out", str(data), "--seed", "0"], capsys)
+    assert dispatch(["train", "--data", str(data), "--out", str(out),
+                     "--lr", "1e6", "--epochs", "50"]) == 0
+    captured = capsys.readouterr()
+    assert "validation forward of epoch 1 turned non-finite" in captured.err
+    assert "no epoch completed" in captured.out
+    assert "-1.0000" not in captured.out
+    for name in ("metrics.csv", "gamma.csv", "beta.csv", "model.ahgm",
+                 "run.json"):
+        assert (out / name).is_file(), name
+    assert (out / "metrics.csv").read_text().count("\n") == 1  # header
+
+
 def test_train_reuses_prebuilt_cache(toy_dir, tmp_path, capsys):
     cache = tmp_path / "msgs.ahgc"
     run_ok(["precompute", "--data", str(toy_dir), "--out", str(cache)],

@@ -11,8 +11,9 @@ from ahgnn.autodiff import Tensor
 from ahgnn.model import token_layout
 from ahgnn.propagate import build_cache
 from ahgnn.synth import ToySpec, generate_toy
-from ahgnn.train import (Adam, Metrics, TrainConfig, evaluate, f1_scores,
-                         head_diversity, train, training_loss,
+from ahgnn.train import (Adam, Metrics, TrainConfig, evaluate,
+                         evaluate_split, f1_scores, head_diversity, train,
+                         training_loss,
                          write_beta_csv, write_gamma_csv, write_metrics_csv)
 
 from conftest import REPO_ROOT, checkout_env
@@ -372,6 +373,49 @@ def test_train_stops_on_non_finite_loss(monkeypatch):
     assert res.diverged is True
     assert res.history == []
     assert res.best_epoch == 0
+
+
+@pytest.mark.parametrize("lr", [1e6, 1e3])
+def test_an_overflowing_forward_ends_the_run_as_divergence(lr):
+    # at f32 a huge step overflows the validation forward after it:
+    # at once for 1e6, after a few recorded epochs for 1e3
+    g = generate_toy(ToySpec(seed=0))
+    cache = build_cache(g, 2, 2)
+    res = train(g, cache, TrainConfig(lr=lr, max_epochs=50))
+    done = len(res.history)
+    assert res.diverged and (done == 0) == (lr == 1e6)
+    assert res.non_finite == f"validation forward of epoch {done + 1}"
+    assert [r.epoch for r in res.history] == list(range(1, done + 1))
+    assert np.isfinite([(r.loss, r.train_micro, r.val_micro)
+                        for r in res.history]).all()
+    assert all(np.isfinite(t.data).all() for t in res.params.tensors.values())
+    assert np.isfinite(res.test.micro_f1)
+    if done:  # the restored parameters are the best epoch's
+        best = max(res.history, key=lambda r: (r.val_micro, -r.epoch))
+        assert res.best_epoch == best.epoch
+        assert evaluate_split(cache, res.params, g.labels, g.val_mask,
+                              np.float32).micro_f1 == best.val_micro
+    else:
+        assert res.best_epoch == 0
+
+
+def test_an_overflowing_taped_forward_ends_the_run_as_divergence(monkeypatch):
+    import importlib
+    train_module = importlib.import_module("ahgnn.train")
+    g, cache = tiny_graph()
+    forward, calls = train_module.model_forward, []
+
+    def overflowing(c, params):
+        calls.append(None)
+        if len(calls) == 3:   # epoch 2's taped forward
+            raise FloatingPointError("overflow")
+        return forward(c, params)
+
+    monkeypatch.setattr(train_module, "model_forward", overflowing)
+    res = train(g, cache, tiny_config(max_epochs=10))
+    assert res.non_finite == "taped forward of epoch 2"
+    assert [r.epoch for r in res.history] == [1] and res.best_epoch == 1
+    assert math.isnan(res.history[0].train_micro)
 
 
 @pytest.mark.parametrize("overrides", [
