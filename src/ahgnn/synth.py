@@ -21,10 +21,11 @@ one list per relation of its distinct edges to draw from.  The evaluator
 holds one dense float64 n_target x n_type walk-count matrix per meta-path
 prefix, each the previous prefix's times a step relation, and no table
 over target pairs (147 MiB at 1600 target nodes with 3 types, depth 4,
-built in 0.2-0.3 s), and a proposal costs a few vector-matrix products plus one sort per path over
-the area of the rows and columns it touches; a draw costs O(1) apart
-from removing an edge that loses its last copy from its list.  The
-rewired relations become sparse once, at the end of a run.
+built in 0.2-0.3 s on a Xeon with 1 BLAS thread), and a proposal costs
+a few vector-matrix products plus one sort per path over the area of
+the rows and columns it touches; a draw costs O(1) apart from removing
+an edge that loses its last copy from its list.  The rewired relations
+become sparse once, at the end of a run.
 """
 
 from __future__ import annotations
