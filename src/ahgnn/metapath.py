@@ -79,9 +79,11 @@ def enumerate_metapaths(schema: Schema, start: str, max_len: int,
 
 
 class PathProducts:
-    """Chained relation products with prefix memoization.
+    """Relation steps and their chained walk products, memoized by types.
 
-    Products are always computed left-associated, so a memo hit returns
+    A two-type key holds its relation, degree-normalized (once) when
+    `normalized`; a longer key holds its prefix's product times its last
+    step.  Products are always left-associated, so a memo hit returns
     bit-identical values to a cold computation.
     """
 
@@ -89,15 +91,6 @@ class PathProducts:
         self.graph = graph
         self.normalized = normalized
         self._memo: dict[tuple[str, ...], SparseMatrix] = {}
-        self._norm: dict[tuple[str, str], SparseMatrix] = {}
-
-    def _step(self, src: str, dst: str) -> SparseMatrix:
-        rel = self.graph.relation(src, dst)
-        if not self.normalized:
-            return rel
-        if (src, dst) not in self._norm:
-            self._norm[(src, dst)] = normalize_relation(rel)
-        return self._norm[(src, dst)]
 
     def matrix(self, types: tuple[str, ...]) -> SparseMatrix:
         types = tuple(types)
@@ -105,28 +98,29 @@ class PathProducts:
             return SparseMatrix.identity(self.graph.n(types[0]))
         if types not in self._memo:
             if len(types) == 2:
-                self._memo[types] = self._step(types[0], types[1])
+                rel = self.graph.relation(*types)
+                self._memo[types] = (normalize_relation(rel)
+                                     if self.normalized else rel)
             else:
                 self._memo[types] = spspmm(self.matrix(types[:-1]),
-                                           self._step(types[-2], types[-1]))
+                                           self.matrix(types[-2:]))
         return self._memo[types]
 
 
 def induced_adjacency(graph: HeteroGraph, path: MetaPath,
-                      normalized: bool = False,
                       products: PathProducts | None = None) -> SparseMatrix:
-    """Walk-count (or degree-normalized) adjacency induced by a meta-path."""
+    """Adjacency induced by a meta-path, read from `products`.
+
+    Raw walk counts by default; pass `PathProducts(graph, normalized=True)`
+    for the degree-normalized walk product.
+    """
     for t in path.types:
         if t not in graph.counts:
             raise ValueError(f"meta-path names unknown type {t!r}")
     for a, b in zip(path.types, path.types[1:]):
         if (a, b) not in graph.relations:
             raise ValueError(f"meta-path step ({a!r}, {b!r}) has no relation")
-    if products is None:
-        products = PathProducts(graph, normalized)
-    elif products.normalized != normalized:
-        raise ValueError("products cache was built with a different normalization")
-    return products.matrix(path.types)
+    return (products or PathProducts(graph, normalized=False)).matrix(path.types)
 
 
 def _label_indicator(labels: np.ndarray) -> np.ndarray:

@@ -313,7 +313,8 @@ def train(graph: HeteroGraph, cache: MessageCache,
     value, turns non-finite: the loop ends there, the epoch whose
     validation forward failed is not recorded, and the best-validation
     parameters are restored and scored on test as after any other run.
-    An epoch whose next taped forward failed keeps a NaN train micro-F1.
+    With no epoch recorded, `best_val_micro` is NaN.  An epoch whose next
+    taped forward failed keeps a NaN train micro-F1.
     """
     config.validate()
     if cache.l1 != config.l1 or cache.l2 != config.l2:
@@ -409,7 +410,8 @@ def train(graph: HeteroGraph, cache: MessageCache,
     else:
         test = Metrics(macro_f1=float("nan"), micro_f1=float("nan"))
     return TrainResult(params=params, history=history, best_epoch=best_epoch,
-                       best_val_micro=best_val, test=test,
+                       best_val_micro=best_val if history else float("nan"),
+                       test=test,
                        non_finite=non_finite,
                        rejected_epochs=rejected)
 

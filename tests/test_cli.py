@@ -574,6 +574,35 @@ def test_python_dash_m_runs_the_cli(module, tmp_path):
     assert bare.returncode == 1, bare.stderr
 
 
+def test_outputs_are_byte_identical_across_blas_thread_counts(tmp_path):
+    # The determinism gate's fixture and flags, run in child interpreters
+    # whose BLAS pools are sized before numpy loads.  At this size OpenBLAS
+    # may split no product at all, so this guards the pipeline's own
+    # ordering more than BLAS's reduction order.
+    runs = []
+    for threads in ("1", "4"):
+        env = checkout_env()
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        d = tmp_path / f"t{threads}"
+        data, cache, out = d / "data", d / "cache.ahgc", d / "out"
+        for argv in (
+                ["synth", "--out", str(data), "--n-target", "24",
+                 "--n-aux", "12", "--num-classes", "2", "--feature-dim", "3",
+                 "--edges-per-node", "2", "--homophily", "1.0", "--seed", "0"],
+                ["precompute", "--data", str(data), "--out", str(cache)],
+                ["train", "--data", str(data), "--cache", str(cache),
+                 "--out", str(out), "--epochs", "8", "--hidden", "16",
+                 "--heads", "2", "--patience", "8", "--seed", "0"]):
+            proc = subprocess.run([sys.executable, "-m", "ahgnn", *argv],
+                                  capture_output=True, text=True, env=env,
+                                  cwd=d.parent, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+        runs.append([f.read_bytes() for f in (
+            cache, out / "metrics.csv", out / "gamma.csv", out / "beta.csv",
+            out / "model.ahgm")])
+    assert runs[0] == runs[1]
+
+
 @pytest.mark.skipif(shutil.which("ahgnn") is None,
                     reason="no ahgnn console script on PATH")
 def test_console_script_on_path_runs():

@@ -115,6 +115,70 @@ def test_memoization_changes_nothing():
                                           getattr(cold, field))
 
 
+def dense_normalized(rel: SparseMatrix) -> np.ndarray:
+    """v_ij / sqrt(rowdeg_i * coldeg_j) on a dense copy, zero where v_ij is."""
+    d = rel.to_dense()
+    deg = np.outer(d.sum(axis=1), d.sum(axis=0))
+    return np.divide(d, np.sqrt(deg), out=np.zeros_like(d), where=d != 0)
+
+
+def test_normalized_induced_adjacency_is_the_dense_normalized_walk_product():
+    checked = 0
+    for seed in range(60):
+        g = random_typed_graph(seed)
+        products = PathProducts(g, normalized=True)
+        for start in g.node_types:
+            for p in enumerate_metapaths(g.schema(), start, 3,
+                                         include_trivial=False):
+                want = reduce(lambda acc, pair: acc @ dense_normalized(
+                    g.relation(*pair)), zip(p.types[1:], p.types[2:]),
+                    dense_normalized(g.relation(*p.types[:2])))
+                got = induced_adjacency(g, p, products=products).to_dense()
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+                checked += 1
+    assert checked > 500
+
+
+def test_products_keep_one_memo_of_steps_and_walks(monkeypatch):
+    # the steps a walk product was chained from are the steps handed out
+    # afterwards, and each relation is normalized once
+    normalized, chained = [], []
+    norm, mul = ahgnn.metapath.normalize_relation, ahgnn.metapath.spspmm
+    monkeypatch.setattr(ahgnn.metapath, "normalize_relation",
+                        lambda rel: normalized.append(rel) or norm(rel))
+    monkeypatch.setattr(ahgnn.metapath, "spspmm",
+                        lambda a, b: chained.append((a, b)) or mul(a, b))
+    checked = 0
+    for seed in range(60):
+        g = random_typed_graph(seed)
+        for p in enumerate_metapaths(g.schema(), "A", 4):
+            if p.steps < 4:
+                continue
+            pairs = list(zip(p.types, p.types[1:]))
+            for flag in (False, True):
+                normalized.clear()
+                chained.clear()
+                products = PathProducts(g, normalized=flag)
+                walk = products.matrix(p.types)
+                used = [chained[0][0]] + [b for _, b in chained]
+                steps = [products.matrix(q) for q in pairs]
+                assert all(u is s for u, s in zip(used, steps, strict=True))
+                for k, (a, _) in enumerate(chained):
+                    assert a is products.matrix(p.types[:k + 2])
+                assert walk is products.matrix(p.types)
+                if flag:
+                    assert sorted(map(id, normalized)) == \
+                        sorted(id(g.relation(*q)) for q in set(pairs))
+                else:
+                    assert normalized == []
+                    assert all(s is g.relation(*q)
+                               for s, q in zip(steps, pairs))
+                assert set(products._memo) == \
+                    set(pairs) | {p.types[:k] for k in range(3, 6)}
+                checked += 1
+    assert checked > 20
+
+
 def test_induced_adjacency_unknown_step():
     g = two_type_graph([(0, 0)])
     with pytest.raises(ValueError, match="unknown type"):

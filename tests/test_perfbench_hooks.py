@@ -2,10 +2,11 @@
 
 perfbench wraps named functions and methods of the package (layers.py,
 measure.py), times `build_cache` with a `threads` argument, reads the
-per-path views of a message cache, and checks a saved checkpoint's
-chunked logits (workloads.py).  These tests run that code against the
-package, so a change that deletes or renames one of them fails here, not
-in a benchmark run.
+per-path views of a message cache, checks a saved checkpoint's chunked
+logits (workloads.py), and reads its per-layer metrics off the spans of
+a traced run.  These tests run that code against the package, so a
+change that deletes, renames or stops calling one of them fails here,
+not in a benchmark run.
 """
 
 import importlib
@@ -98,3 +99,35 @@ def test_checkpoint_chunked_check_runs(perfbench, tmp_path):
     full = model_forward(cache, params).logits.data
     chunked = predict_logits(cache, params, batch_size=cache.n_target // 3 + 1)
     assert checks.check_chunked(full, chunked) is None
+
+
+def test_a_traced_pipeline_reaches_every_span_the_metrics_read(perfbench,
+                                                              tmp_path):
+    # Stats.ms and Stats.first raise KeyError for a wrapped function that
+    # is never called, so a pipeline that stops calling one fails here
+    layers, _ = perfbench
+    tracing = importlib.import_module("tracer")
+    tracer = tracing.Tracer()
+    layers.install(tracer)
+    tracer.op = "op-0"
+    data, cache, out = tmp_path / "data", tmp_path / "c.ahgc", tmp_path / "out"
+    try:
+        # called through the module attributes the tracer rebinds
+        synth = importlib.import_module("ahgnn.synth")
+        graph = importlib.import_module("ahgnn.graph")
+        cli = importlib.import_module("ahgnn.cli")
+        g = synth.generate_toy(ToySpec(n_target=40, homophily=0.3,
+                                       tolerance=0.05))
+        graph.save_dataset(g, data)
+        for argv in (
+                ["analyze", "--data", str(data), "--out", str(out)],
+                ["precompute", "--data", str(data), "--out", str(cache)],
+                ["train", "--data", str(data), "--cache", str(cache),
+                 "--out", str(out), "--epochs", "3"],
+                ["eval", "--data", str(data), "--checkpoint",
+                 str(out / "model.ahgm"), "--cache", str(cache),
+                 "--out", str(out)]):
+            assert cli.dispatch(argv) == 0, argv
+        assert layers.metrics(tracing.Stats(tracer.spans))
+    finally:
+        tracer.uninstall()

@@ -395,8 +395,10 @@ def test_an_overflowing_forward_ends_the_run_as_divergence(lr):
         assert res.best_epoch == best.epoch
         assert evaluate_split(cache, res.params, g.labels, g.val_mask,
                               np.float32).micro_f1 == best.val_micro
+        assert res.best_val_micro == best.val_micro
     else:
         assert res.best_epoch == 0
+        assert np.isnan(res.best_val_micro)  # no score, not a -1.0 sentinel
 
 
 def test_an_overflowing_taped_forward_ends_the_run_as_divergence(monkeypatch):
