@@ -62,6 +62,18 @@ def oracle_walk_counts(graph: HeteroGraph, types) -> np.ndarray:
     return out
 
 
+def oracle_normalize(dense) -> np.ndarray:
+    """Entry-wise v/sqrt(rowsum*colsum) on a dense copy, zero-degree dropped."""
+    dense = np.asarray(dense, dtype=np.float64)
+    out = np.zeros_like(dense)
+    rs, cs = dense.sum(axis=1), dense.sum(axis=0)
+    for i in range(dense.shape[0]):
+        for j in range(dense.shape[1]):
+            if dense[i, j] != 0 and rs[i] > 0 and cs[j] > 0:
+                out[i, j] = dense[i, j] / np.sqrt(rs[i] * cs[j])
+    return out
+
+
 def oracle_global_homophily(adj_dense, labels):
     num = den = 0
     n = len(labels)

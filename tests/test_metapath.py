@@ -22,7 +22,8 @@ from ahgnn.synth import (RewireSpec, ToySpec, generate_toy,
 from conftest import REPO_ROOT, checkout_env
 from oracles import (oracle_build_homophily_report, oracle_global_homophily,
                      oracle_graph_homophily, oracle_local_homophily,
-                     oracle_walk_counts, random_typed_graph)
+                     oracle_normalize, oracle_walk_counts,
+                     random_typed_graph)
 
 TOY = Path(__file__).parent / "data" / "toy"
 
@@ -115,24 +116,19 @@ def test_memoization_changes_nothing():
                                           getattr(cold, field))
 
 
-def dense_normalized(rel: SparseMatrix) -> np.ndarray:
-    """v_ij / sqrt(rowdeg_i * coldeg_j) on a dense copy, zero where v_ij is."""
-    d = rel.to_dense()
-    deg = np.outer(d.sum(axis=1), d.sum(axis=0))
-    return np.divide(d, np.sqrt(deg), out=np.zeros_like(d), where=d != 0)
-
-
 def test_normalized_induced_adjacency_is_the_dense_normalized_walk_product():
     checked = 0
     for seed in range(60):
         g = random_typed_graph(seed)
         products = PathProducts(g, normalized=True)
+        step = {pair: oracle_normalize(m.to_dense())
+                for pair, m in g.relations.items()}
         for start in g.node_types:
             for p in enumerate_metapaths(g.schema(), start, 3,
                                          include_trivial=False):
-                want = reduce(lambda acc, pair: acc @ dense_normalized(
-                    g.relation(*pair)), zip(p.types[1:], p.types[2:]),
-                    dense_normalized(g.relation(*p.types[:2])))
+                # chained left to right, as PathProducts associates
+                want = reduce(np.matmul, [step[pair] for pair in
+                                          zip(p.types, p.types[1:])])
                 got = induced_adjacency(g, p, products=products).to_dense()
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
                 checked += 1
