@@ -97,14 +97,16 @@ def _cmd_precompute(args) -> tuple[int, Path]:
     return 0, out.parent
 
 
-def _load_or_build_cache(g, data, cache, l1: int, l2: int):
+def _load_or_build_cache(g, data, cache, l1: int, l2: int, rows=None):
     """Read `cache`, or the default cache path of the dataset directory
-    `data`; only the default may be absent, and is then built."""
+    `data`; only the default may be absent, and is then built.  Given
+    `rows`, only those target rows are kept (`read_cache`)."""
     cpath = Path(cache) if cache else default_cache_path(Path(data))
     if not cache and not cpath.is_file():
-        return build_cache(g, l1, l2)
+        built = build_cache(g, l1, l2)
+        return built if rows is None else built.take_rows(rows)
     return read_cache(cpath, expect_fingerprint=g.fingerprint,
-                      expect_l1=l1, expect_l2=l2)
+                      expect_l1=l1, expect_l2=l2, rows=rows)
 
 
 def _cmd_train(args) -> tuple[int, Path]:
@@ -139,12 +141,15 @@ def _cmd_eval(args) -> tuple[int, Path]:
         config = TrainConfig.from_dict(raw)
     except ValueError as e:
         raise ValueError(f"checkpoint {args.checkpoint}: {e}") from None
+    # the cache keeps only the rows scored, and an empty split fails first
+    rows = labeled_rows(g.val_mask if args.split == "val" else g.test_mask,
+                        g.labels)
     cache = _load_or_build_cache(g, args.data, args.cache, config.l1,
-                                 config.l2)
+                                 config.l2, rows)
     params = restore_model_params(arrays, cache, config.to_dict(),
                                   dtype=config.dtype)
-    mask = g.val_mask if args.split == "val" else g.test_mask
-    m = evaluate_split(cache, params, g.labels, mask, config.dtype)
+    m = evaluate_split(cache, params, g.labels[rows],
+                       np.ones(rows.size, dtype=bool), config.dtype)
     out = _outdir(args)
     write_json({"split": args.split, "macro_f1": m.macro_f1,
                 "micro_f1": m.micro_f1}, out / "eval.json")

@@ -388,6 +388,9 @@ def load_dataset(path) -> HeteroGraph:
         man = json.loads(mpath.read_bytes())
     except json.JSONDecodeError as e:
         raise DatasetError(f"manifest.json is not valid JSON: {e}") from None
+    except UnicodeDecodeError as e:
+        raise DatasetError(f"manifest.json is not UTF-8 text: {e.reason} "
+                           f"at byte {e.start}") from None
     if not isinstance(man, dict):
         raise DatasetError("manifest.json must hold a JSON object")
     for key in ("node_types", "counts", "feature_dims", "relations",

@@ -256,17 +256,24 @@ def model_forward(cache: MessageCache, params: ModelParams) -> ModelOutput:
 
 def predict_logits(cache: MessageCache, params: ModelParams,
                    batch_size: int | None = None) -> np.ndarray:
-    """Forward pass without recording gradients, optionally in row chunks."""
+    """Logits of a forward without recording gradients, in row chunks.
+
+    With `batch_size` set, each forward covers at most that many rows,
+    so its intermediates scale with the chunk, not with the cache; a
+    chunk's messages are views of the cache's rows, not copies.  The
+    model is row-independent, so the chunks' logits are those rows of
+    one forward over every row, up to how BLAS rounds a row in a matrix
+    of another row count.  `train.evaluate_split` scores a split through
+    this, in chunks of a bounded token-tensor size.
+    """
     if batch_size is not None and batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     n = cache.n_target
     if batch_size is None or batch_size >= n:
-        return model_forward(cache, params).logits.data.copy()
-    parts = []
-    for lo in range(0, n, batch_size):
-        idx = np.arange(lo, min(lo + batch_size, n))
-        parts.append(model_forward(cache.take_rows(idx), params).logits.data)
-    return np.concatenate(parts, axis=0)
+        return model_forward(cache, params).logits.data
+    return np.concatenate([
+        model_forward(cache.take_rows(slice(lo, lo + batch_size)),
+                      params).logits.data for lo in range(0, n, batch_size)])
 
 
 def gamma_table(cache: MessageCache,

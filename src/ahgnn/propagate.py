@@ -24,7 +24,11 @@ has meta {fingerprint (`HeteroGraph.fingerprint`: manifest and arrays),
 l1, l2, features, labels}, the last two its path keys in sorted order,
 then one (N, cols) float64 array per feature key and then per label key.
 Every message has one row per target node, and every label message one
-column per class.
+column per class.  `read_cache(path, rows=...)` keeps only the given
+target rows: it cuts each stored array to them as soon as it is read and
+checked, so a read holds at most one full stored array besides its
+result, and a reader that scores a split needs memory for that split,
+not for the graph.
 """
 
 from __future__ import annotations
@@ -76,12 +80,16 @@ def write_arrays(path, spec: ArrayFile, meta: dict, arrays) -> None:
             write_npy(f, a, spec.dtype)
 
 
-def read_arrays(path, spec: ArrayFile) -> tuple[dict, list[np.ndarray]]:
+def read_arrays(path, spec: ArrayFile,
+                keep=lambda name, a: a) -> tuple[dict, list]:
     """The meta and the arrays of a `write_arrays` file of type `spec`.
 
     An array's byte count is checked against the bytes left in the file
     before anything is allocated for it.  A malformed file raises
-    `spec.error` naming it.
+    `spec.error` naming it.  Each array is passed to `keep(name, array)`
+    as soon as it is read, with its name from the meta, and the list
+    holds what `keep` returns, so an array `keep` does not return is
+    dropped before the next one is read.
     """
     path = Path(path)
     if not path.is_file():
@@ -110,8 +118,10 @@ def read_arrays(path, spec: ArrayFile) -> tuple[dict, list[np.ndarray]]:
                    and len(set(v)) == len(v) for v in names):
             raise spec.error(f"{name}: meta fields {spec.names} must list "
                              "distinct names")
-        arrays = [read_npy(f, size, spec.dtype, spec.error, name, f"array {i}")
-                  for i in range(sum(map(len, names)))]
+        keys = [k for v in names for k in v]
+        arrays = [keep(k, read_npy(f, size, spec.dtype, spec.error, name,
+                                   f"array {i}"))
+                  for i, k in enumerate(keys)]
         if f.tell() != size:
             raise spec.error(f"{name} has trailing bytes")
     return meta, arrays
@@ -173,7 +183,8 @@ class MessageCache:
             label_messages={k: fn(m) for k, m in self.label_messages.items()})
 
     def take_rows(self, idx: np.ndarray) -> "MessageCache":
-        """Row-sliced copy over a subset of target nodes."""
+        """Those target rows of every message: copies for an index
+        array, views for a slice."""
         return self._map(lambda m: m[idx])
 
     def astype(self, dtype) -> "MessageCache":
@@ -249,10 +260,34 @@ def write_cache(cache: MessageCache, path) -> None:
 
 def read_cache(path, expect_fingerprint: int | None = None,
                expect_l1: int | None = None,
-               expect_l2: int | None = None) -> MessageCache:
-    """Read a cache file, optionally enforcing freshness expectations."""
+               expect_l2: int | None = None, *,
+               rows=None) -> MessageCache:
+    """Read a cache file, optionally enforcing freshness expectations.
+
+    Given `rows`, target-node indices, the result holds those rows of
+    each message, in their order, and equals `read_cache(path)
+    .take_rows(rows)`.  Each stored array is read whole, checked as
+    without `rows`, cut to its rows and dropped before the next is read,
+    so beyond the result at most one full stored array is held.  A row
+    outside the stored ones raises `CacheError` naming the file.
+    """
     path = Path(path)
-    meta, arrays = read_arrays(path, CACHE_FILE)
+    if rows is not None:
+        rows = np.asarray(rows)
+        lo, hi = (rows.min(), rows.max()) if rows.size else (0, -1)
+    shapes = []
+
+    def keep(key: str, m: np.ndarray):
+        if m.ndim != 2:
+            raise CacheError(f"cache file {path.name}: message {key} has "
+                             f"shape {m.shape}, not (rows, columns)")
+        shapes.append(m.shape)
+        if rows is None:
+            return m
+        # out of range: None, refused once every shape has been checked
+        return m[rows] if 0 <= lo and hi < m.shape[0] else None
+
+    meta, arrays = read_arrays(path, CACHE_FILE, keep)
     fingerprint, l1, l2 = meta["fingerprint"], meta["l1"], meta["l2"]
     if expect_fingerprint is not None and fingerprint != expect_fingerprint:
         raise CacheError(
@@ -263,28 +298,29 @@ def read_cache(path, expect_fingerprint: int | None = None,
         raise CacheError(
             f"stale cache: built for L1={l1}, L2={l2}; regenerate with "
             "`ahgnn precompute`")
-    stored = iter(arrays)
-    feats = {k: next(stored) for k in meta["features"]}
-    labs = {k: next(stored) for k in meta["labels"]}
-    if not feats:
+    if not meta["features"]:
         raise CacheError("cache holds no feature entries")
-    for key, m in [*feats.items(), *labs.items()]:
-        if m.ndim != 2:
-            raise CacheError(f"cache file {path.name}: message {key} has "
-                             f"shape {m.shape}, not (rows, columns)")
 
     def agree(axis: int, what: str, entries: list) -> None:
-        (k0, m0), *rest = entries
-        for key, m in rest:
-            if m.shape[axis] != m0.shape[axis]:
+        (k0, s0), *rest = entries
+        for key, s in rest:
+            if s[axis] != s0[axis]:
                 raise CacheError(
                     f"cache file {path.name}: message {key} has "
-                    f"{m.shape[axis]} {what}, message {k0} has {m0.shape[axis]}")
-    agree(0, "rows", [*feats.items(), *labs.items()])
-    if labs:
-        agree(1, "columns", list(labs.items()))
-    cache = MessageCache(l1=l1, l2=l2, fingerprint=fingerprint,
-                         feature_messages=feats, label_messages=labs)
+                    f"{s[axis]} {what}, message {k0} has {s0[axis]}")
+    entries = list(zip([*meta["features"], *meta["labels"]], shapes))
+    agree(0, "rows", entries)
+    if meta["labels"]:
+        agree(1, "columns", entries[len(meta["features"]):])
+    if rows is not None and arrays[0] is None:
+        raise CacheError(f"cache file {path.name}: row "
+                         f"{lo if lo < 0 else hi} is outside its "
+                         f"{shapes[0][0]} stored rows")
+    stored = iter(arrays)
+    cache = MessageCache(
+        l1=l1, l2=l2, fingerprint=fingerprint,
+        feature_messages={k: next(stored) for k in meta["features"]},
+        label_messages={k: next(stored) for k in meta["labels"]})
     try:  # every hop a path reads must be a stored prefix
         cache.feature_entries, cache.label_entries
     except KeyError as e:

@@ -12,7 +12,8 @@ after each step covers the validation rows only.  An epoch's train
 micro-F1 is read off the next epoch's taped logits, which the same
 post-step parameters produce, so each labeled row is forwarded once per
 epoch; only the last recorded epoch forwards the train rows once more
-after the loop, and the closing test score forwards only the test rows.
+after the loop, and the closing test score forwards only the test rows,
+in chunks of bounded size (`evaluate_split`).
 """
 
 from __future__ import annotations
@@ -25,10 +26,27 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .graph import HeteroGraph, write_csv
 from .model import (ModelOutput, ModelParams, init_model_params,
-                    model_forward)
+                    model_forward, predict_logits, token_layout)
 from .propagate import MessageCache
 
 MAX_WEIGHT_DECAY = 5e-6
+
+# A scoring forward holds at most this many elements of its (rows x
+# tokens x hidden) token tensor: 256 KB of float32, so the 210 test rows of
+# the gate fixture (6 tokens, hidden 32) are one chunk, and the 1,600-node
+# scaling fixture (11 tokens, hidden 64) forwards 80 rows at a time, whose
+# intermediates peak at 2.4 MiB under tracemalloc, where all 320 test
+# rows took 9.5 MiB.
+_SCORE_ELEMENTS = 2**18 // np.dtype(np.float32).itemsize
+
+# Chunks of more rows than this hold a multiple of it, so each starts
+# where one forward over the split starts a block of rows in a BLAS
+# kernel, and the logits are bit-equal to that forward's.  Measured with
+# OpenBLAS on x86-64: chunks of 8, 16, 32, 48 and 64 rows of the scaling
+# fixture's test split were bit-equal at f32 and f64, 93-row chunks
+# differed in the last bit of 4 to 6 logits, and so does a one-row last
+# chunk, which BLAS runs as a vector product.
+_SCORE_ROW_BLOCK = 16
 
 
 @dataclass
@@ -259,14 +277,22 @@ def evaluate(logits: np.ndarray, labels: np.ndarray,
 
 def evaluate_split(cache: MessageCache, params: ModelParams,
                    labels: np.ndarray, mask: np.ndarray, dtype) -> Metrics:
-    """`evaluate` on a forward over the masked, labeled rows alone.
+    """`evaluate` on forwards over the masked, labeled rows alone.
 
     Equals `evaluate` on an all-rows forward, because the model is
-    row-independent; only the rows it scores are cast and forwarded.
+    row-independent.  Only the rows it scores are cast and forwarded,
+    through `predict_logits` in chunks of at most `_SCORE_ELEMENTS`
+    token-tensor elements, so the memory a split takes is bounded
+    whatever its size.  This scores `ahgnn eval` and `train`'s closing
+    test split.
     """
     rows = labeled_rows(mask, labels)
-    logits = model_forward(cache.take_rows(rows).astype(dtype),
-                           params).logits.data
+    width = len(token_layout(cache)) * params.tensors["cls.w"].shape[0]
+    chunk = max(1, _SCORE_ELEMENTS // width)
+    if chunk > _SCORE_ROW_BLOCK:
+        chunk -= chunk % _SCORE_ROW_BLOCK
+    logits = predict_logits(cache.take_rows(rows).astype(dtype), params,
+                            batch_size=chunk)
     return evaluate(logits, np.asarray(labels)[rows],
                     np.ones(rows.size, dtype=bool))
 

@@ -190,6 +190,46 @@ def test_train_and_eval_reject_a_cache_message_a_row_short(toy_dir, tmp_path,
             capsys.readouterr().err
 
 
+def test_eval_reads_only_the_rows_it_scores(toy_dir, tmp_path, capsys,
+                                            monkeypatch):
+    import ahgnn.cli
+    monkeypatch.delenv("AHGNN_CACHE_DIR", raising=False)
+    out, cpath = tmp_path / "run", tmp_path / "c.ahgc"
+    run_ok(["train", "--data", str(toy_dir), "--out", str(out),
+            "--epochs", "2", "--hidden", "8", "--heads", "2"], capsys)
+    g = load_dataset(toy_dir)
+    cache = build_cache(g, 2, 2)
+    write_cache(cache, cpath)
+    config, arrays = load_checkpoint(out / "model.ahgm")
+    full = model_forward(cache.astype(np.float32), restore_model_params(
+        arrays, cache, config)).logits.data
+    real, reads = ahgnn.cli.read_cache, []
+    monkeypatch.setattr(ahgnn.cli, "read_cache",
+                        lambda *a, **kw: reads.append(kw["rows"]) or
+                        real(*a, **kw))
+    for split, mask in (("val", g.val_mask), ("test", g.test_mask)):
+        want = evaluate(full, g.labels, mask)
+        # the default path holds no file, so the first builds the cache
+        for flags in ([], ["--cache", str(cpath)]):
+            run_ok(["eval", "--data", str(toy_dir), "--checkpoint",
+                    str(out / "model.ahgm"), "--split", split,
+                    "--out", str(tmp_path / "eval"), *flags], capsys)
+            scores = json.loads((tmp_path / "eval" / "eval.json").read_text())
+            assert (scores["micro_f1"], scores["macro_f1"]) == \
+                (want.micro_f1, want.macro_f1), (split, flags)
+        np.testing.assert_array_equal(reads.pop(),
+                                      np.flatnonzero(mask & (g.labels >= 0)))
+    # a split with no labeled node fails before the cache is looked for
+    labels = np.load(toy_dir / "labels_A.npy")
+    labels[g.test_mask] = -1
+    np.save(toy_dir / "labels_A.npy", labels)
+    assert dispatch(["eval", "--data", str(toy_dir), "--checkpoint",
+                     str(out / "model.ahgm"), "--cache",
+                     str(tmp_path / "absent.ahgc")]) == 1
+    assert "evaluation mask selects no labeled node" in capsys.readouterr().err
+    assert not reads
+
+
 @pytest.mark.parametrize("edit,field", [
     (lambda c: {k: v for k, v in c.items() if k != "l1"}, "'l1' is missing"),
     (lambda c: {**c, "precision": "f16"}, "precision must be"),

@@ -393,6 +393,24 @@ def test_malformed_manifest_error(tmp_path, capsys, fields, names):
         assert name in err
 
 
+@pytest.mark.parametrize("raw,where", [
+    (b"\xff", "invalid start byte at byte 0"),
+    (None, "unexpected end of data at byte"),
+], ids=["0xff-first", "truncated-character"])
+def test_manifest_that_is_not_utf8_names_the_file(tmp_path, capsys, raw,
+                                                  where):
+    d = _copy_toy(tmp_path)
+    text = (d / "manifest.json").read_bytes()
+    # a 0xFF first byte, or a manifest that ends two bytes into the
+    # three of U+20AC
+    (d / "manifest.json").write_bytes(
+        raw + text if raw else text[:-3] + "\u20ac".encode()[:2])
+    with pytest.raises(DatasetError, match="^manifest.json is not UTF-8 text"):
+        load_dataset(d)
+    err = _cli_error(d, capsys)
+    assert "manifest.json is not UTF-8 text" in err and where in err
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
                          ids=["nan", "inf", "-inf"])
 def test_non_finite_feature_names_the_file(tmp_path, capsys, value):

@@ -515,3 +515,104 @@ def test_cache_messages_that_disagree_in_shape_are_rejected(tmp_path, kind,
     with pytest.raises(CacheError,
                        match=rf"c\.ahgc: message {key} has \d+ {what}"):
         read_cache(tmp_path / "c.ahgc")
+
+
+# ------------------------------------------------- reading selected rows
+
+# the determinism gate's dataset and depths, and the heterophily gate's
+READ_FIXTURES = {
+    "determinism": (dict(n_target=24, n_aux=12, num_classes=2, feature_dim=3,
+                         edges_per_node=2, homophily=1.0, seed=0), 2, 2),
+    "gate": (dict(n_target=300, n_aux=75, num_classes=4, feature_dim=8,
+                  noise=1.2, edges_per_node=4, train_frac=0.15, val_frac=0.15,
+                  tolerance=0.03, homophily=0.5, seed=0), 4, 2),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(READ_FIXTURES))
+def written_cache(request, tmp_path_factory):
+    spec, l1, l2 = READ_FIXTURES[request.param]
+    path = tmp_path_factory.mktemp(request.param) / "c.ahgc"
+    cache = build_cache(generate_toy(ToySpec(**spec)), l1, l2)
+    write_cache(cache, path)
+    return path, cache.n_target
+
+
+@pytest.mark.parametrize("pick", ["sorted", "unsorted", "single"])
+def test_read_cache_rows_equals_take_rows_of_the_full_read(written_cache,
+                                                           pick):
+    path, n = written_cache
+    rng = np.random.default_rng(1)
+    rows = {"sorted": np.sort(rng.choice(n, n // 3, replace=False)),
+            "unsorted": rng.permutation(n)[: n // 2],
+            "single": np.array([n - 1])}[pick]
+    want = read_cache(path).take_rows(rows)
+    got = read_cache(path, rows=rows)
+    assert (got.l1, got.l2, got.fingerprint) == \
+        (want.l1, want.l2, want.fingerprint)
+    for ours, theirs in ((got.feature_messages, want.feature_messages),
+                         (got.label_messages, want.label_messages)):
+        assert list(ours) == list(theirs)
+        for key in theirs:
+            assert ours[key].dtype == theirs[key].dtype
+            assert ours[key].flags.c_contiguous
+            assert ours[key].tobytes() == theirs[key].tobytes(), key
+
+
+def test_read_cache_rows_keeps_every_malformed_file_check(tmp_path):
+    g = load_dataset(TOY)
+    rows = np.array([1, 0])
+    write_cache(build_cache(g, 2, 2), tmp_path / "c.ahgc")
+    raw = (tmp_path / "c.ahgc").read_bytes()
+    (tmp_path / "c.ahgc").write_bytes(raw[: len(raw) // 2])
+    with pytest.raises(CacheError, match="truncated"):
+        read_cache(tmp_path / "c.ahgc", rows=rows)
+    for array in (np.ones(5), np.ones((5, 2, 1)), np.float64(1.0)):
+        write_one_message_cache(tmp_path / "c.ahgc", records=[npy_record(array)])
+        with pytest.raises(CacheError, match=r"c\.ahgc: message A has "
+                           r"shape .*, not \(rows, columns\)"):
+            read_cache(tmp_path / "c.ahgc", rows=rows)
+    cache = build_cache(g, 2, 4)
+    key = max(cache.label_messages)
+    cache.label_messages[key] = cache.label_messages[key][:-1]
+    write_cache(cache, tmp_path / "c.ahgc")
+    with pytest.raises(CacheError, match=rf"c\.ahgc: message {key} has "
+                       rf"{g.n_target - 1} rows"):
+        read_cache(tmp_path / "c.ahgc", rows=rows)
+    cache = build_cache(g, 2, 2)
+    del cache.feature_messages["A-B"]
+    write_cache(cache, tmp_path / "c.ahgc")
+    with pytest.raises(CacheError, match="lacks the message of path A-B"):
+        read_cache(tmp_path / "c.ahgc", rows=rows)
+
+
+@pytest.mark.parametrize("bad", [-1, "n"])
+def test_read_cache_row_outside_the_stored_rows_names_the_file(tmp_path, bad):
+    g = load_dataset(TOY)
+    write_cache(build_cache(g, 2, 2), tmp_path / "c.ahgc")
+    bad = g.n_target if bad == "n" else bad
+    with pytest.raises(CacheError, match=rf"cache file c\.ahgc: row {bad} is "
+                       rf"outside its {g.n_target} stored rows"):
+        read_cache(tmp_path / "c.ahgc", rows=np.array([0, bad, 1]))
+
+
+def test_read_cache_rows_holds_one_full_array_at_a_time(tmp_path):
+    # three 1 MiB messages; a read that kept each until the end would
+    # peak at three of them
+    n, cols = 2048, 64
+    rng = np.random.default_rng(0)
+    big = MessageCache(l1=2, l2=2, fingerprint=1, feature_messages={
+        k: rng.normal(size=(n, cols)) for k in ("A", "A-B", "A-B-A")},
+        label_messages={"A-B-A": rng.normal(size=(n, 3))})
+    write_cache(big, tmp_path / "c.ahgc")
+    rows = rng.permutation(n)[:50]
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        cache = read_cache(tmp_path / "c.ahgc", rows=rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(m.nbytes for d in (cache.feature_messages, cache.label_messages)
+               for m in d.values())
+    assert peak - held <= n * cols * 8 + (64 << 10), peak - held

@@ -536,6 +536,9 @@ def test_each_labeled_row_is_forwarded_once_per_epoch(monkeypatch):
         return forward(c, params)
 
     monkeypatch.setattr(train_module, "model_forward", logged)
+    # the test split is scored through model.predict_logits
+    monkeypatch.setattr(importlib.import_module("ahgnn.model"),
+                        "model_forward", logged)
     train(g, cache, tiny_config(max_epochs=5))
     epoch = [(n_train, True), (n_val, False)]
     assert calls == 5 * epoch + [(n_train, False), (n_test, False)]
@@ -609,6 +612,97 @@ def test_evaluate_split_equals_all_rows_evaluate(monkeypatch):
     with pytest.raises(ValueError, match="selects no labeled node"):
         evaluate_split(cache, params, g.labels,
                        np.zeros(g.n_target, dtype=bool), np.float32)
+
+
+GATE_SPEC = dict(n_target=300, n_aux=75, num_classes=4, feature_dim=8,
+                 noise=1.2, edges_per_node=4, train_frac=0.15, val_frac=0.15,
+                 tolerance=0.03, homophily=0.5, seed=0)
+
+
+def _split_setup(dtype, gate=False):
+    """The fixture of the test above, or the heterophily gate's, with
+    initial parameters in `dtype`."""
+    from ahgnn.model import init_model_params
+    if gate:
+        g = generate_toy(ToySpec(**GATE_SPEC))
+        cache, hidden, heads = build_cache(g, 4, 2), 32, 4
+    else:
+        g = generate_toy(ToySpec(n_target=40, n_aux=12, num_classes=3,
+                                 homophily=0.6, feature_dim=4, train_frac=0.3,
+                                 val_frac=0.3, seed=3))
+        cache, hidden, heads = build_cache(g, 2, 2), 8, 2
+    return g, cache, init_model_params(cache, hidden, heads, 0.25,
+                                       np.random.default_rng(0), dtype=dtype)
+
+
+def _chunked_split(monkeypatch, dtype, gate, rows_per_chunk):
+    """Score the test split with the chunk bound set to `rows_per_chunk`
+    rows (before any rounding); return the one-forward logits of its
+    rows, the logits of each chunk's forward, and the metrics."""
+    import ahgnn.model
+    import ahgnn.train
+    from ahgnn.model import model_forward
+    from ahgnn.train import labeled_rows
+    g, cache, params = _split_setup(dtype, gate)
+    rows = labeled_rows(g.test_mask, g.labels)
+    one = model_forward(cache.take_rows(rows).astype(dtype),
+                        params).logits.data
+    # the elements of one row's (tokens x hidden) token tensor
+    width = len(token_layout(cache)) * params.tensors["cls.w"].shape[0]
+    monkeypatch.setattr(ahgnn.train, "_SCORE_ELEMENTS",
+                        (rows_per_chunk + 1) * width - 1)
+    seen, real = [], ahgnn.model.model_forward
+
+    def counted(cache, params):
+        out = real(cache, params)
+        seen.append(out.logits.data)
+        return out
+
+    monkeypatch.setattr(ahgnn.model, "model_forward", counted)
+    m = evaluate_split(cache, params, g.labels, g.test_mask, dtype)
+    assert m == evaluate(one, g.labels[rows], np.ones(rows.size, dtype=bool))
+    return one, seen
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                         ids=["f32", "f64"])
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_evaluate_split_forwards_in_bounded_chunks(monkeypatch, dtype, chunk):
+    one, seen = _chunked_split(monkeypatch, dtype, False, chunk)
+    assert len(seen) == math.ceil(len(one) / chunk)
+    assert [len(x) for x in seen[:-1]] == [chunk] * (len(seen) - 1)
+    chunked = np.concatenate(seen)
+    assert chunked.dtype == dtype
+    if chunk > 1:
+        np.testing.assert_array_equal(chunked, one)
+    else:
+        # BLAS runs a 1-row product as a vector product, which may round
+        # differently; the fusion gate's batch-size bound at float32, and
+        # a few ulps of logits near 1 at float64
+        atol = 1e-6 if dtype == np.float32 else 1e-14
+        np.testing.assert_allclose(chunked, one, rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                         ids=["f32", "f64"])
+def test_evaluate_split_chunks_hold_whole_row_blocks(monkeypatch, dtype):
+    # a bound of 45 rows forwards 32 at a time, so every chunk starts on
+    # a BLAS row block and the logits are those of one forward, bit for bit
+    one, seen = _chunked_split(monkeypatch, dtype, True, 45)
+    assert [len(x) for x in seen] == [32] * 6 + [18]
+    np.testing.assert_array_equal(np.concatenate(seen), one)
+
+
+def test_evaluate_split_scores_a_gate_split_in_one_forward(monkeypatch):
+    # 210 test rows x 6 tokens x hidden 32 lie within the chunk bound, so
+    # train()'s closing score on the gate fixture stays one forward
+    import ahgnn.model
+    g, cache, params = _split_setup(np.float32, gate=True)
+    seen, real = [], ahgnn.model.model_forward
+    monkeypatch.setattr(ahgnn.model, "model_forward",
+                        lambda c, p: seen.append(c.n_target) or real(c, p))
+    evaluate_split(cache, params, g.labels, g.test_mask, np.float32)
+    assert seen == [210]
 
 
 def test_taped_step_tape_size():
