@@ -87,11 +87,12 @@ def _cmd_analyze(args) -> tuple[int, Path]:
 
 def _cmd_precompute(args) -> tuple[int, Path]:
     g = load_dataset(args.data)
-    cache = build_cache(g, args.l1, args.l2)
+    # each message is written as soon as it is built, then dropped
+    build = build_cache(g, args.l1, args.l2, stream=True)
     out = Path(args.out) if args.out else default_cache_path(Path(args.data))
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_cache(cache, out)
-    n_f, n_l = len(cache.feature_messages), len(cache.label_messages)
+    write_cache(build, out)
+    n_f, n_l = len(build.meta["features"]), len(build.meta["labels"])
     print(f"wrote {out} ({n_f} feature paths, {n_l} label paths: "
           f"{n_f + n_l} stored matrices)")
     return 0, out.parent

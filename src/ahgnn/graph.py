@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import re
@@ -261,6 +262,16 @@ def write_npy(f, a, dtype: str) -> None:
     # asarray copies no C-ordered `dtype` array
     np.lib.format.write_array(f, np.asarray(a, dtype, order="C"),
                               version=(1, 0), allow_pickle=False)
+
+
+def npy_size(shape: tuple, dtype: str) -> int:
+    """Bytes of the `write_npy` record of a `dtype` array of `shape`; the
+    header depends on the shape alone, so no array is needed."""
+    head = io.BytesIO()
+    np.lib.format.write_array_header_1_0(head, {
+        "descr": np.lib.format.dtype_to_descr(np.dtype(dtype)),
+        "fortran_order": False, "shape": tuple(shape)})
+    return head.tell() + math.prod(shape) * np.dtype(dtype).itemsize
 
 
 def read_exact(f, n: int, size: int, error: type[ValueError],

@@ -255,12 +255,14 @@ def model_forward(cache: MessageCache, params: ModelParams) -> ModelOutput:
 
 
 def predict_logits(cache: MessageCache, params: ModelParams,
-                   batch_size: int | None = None) -> np.ndarray:
+                   batch_size: int | None = None, dtype=None) -> np.ndarray:
     """Logits of a forward without recording gradients, in row chunks.
 
     With `batch_size` set, each forward covers at most that many rows,
     so its intermediates scale with the chunk, not with the cache; a
-    chunk's messages are views of the cache's rows, not copies.  The
+    chunk's messages are views of the cache's rows, not copies.  Given
+    `dtype`, each chunk's messages are cast to it on their own, which
+    gives the logits of casting the whole cache first.  The
     model is row-independent, so the chunks' logits are those rows of
     one forward over every row, up to how BLAS rounds a row in a matrix
     of another row count.  `train.evaluate_split` scores a split through
@@ -268,12 +270,16 @@ def predict_logits(cache: MessageCache, params: ModelParams,
     """
     if batch_size is not None and batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
+
+    def forward(part: MessageCache) -> np.ndarray:
+        part = part if dtype is None else part.astype(dtype)
+        return model_forward(part, params).logits.data
+
     n = cache.n_target
     if batch_size is None or batch_size >= n:
-        return model_forward(cache, params).logits.data
-    return np.concatenate([
-        model_forward(cache.take_rows(slice(lo, lo + batch_size)),
-                      params).logits.data for lo in range(0, n, batch_size)])
+        return forward(cache)
+    return np.concatenate([forward(cache.take_rows(slice(lo, lo + batch_size)))
+                           for lo in range(0, n, batch_size)])
 
 
 def gamma_table(cache: MessageCache,
@@ -296,8 +302,9 @@ def save_checkpoint(params: ModelParams, config: dict, path) -> None:
     """
     tensors = params.tensors
     names = sorted(tensors)
+    arrays = [tensors[name].data for name in names]
     write_arrays(path, CHECKPOINT_FILE, {"config": config, "params": names},
-                 [tensors[name].data for name in names])
+                 [a.shape for a in arrays], enumerate(arrays))
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:

@@ -15,6 +15,16 @@ walk product Â_P is formed.  There is no label hop 0, the identity, but
 closed walks (the diagonal of a target-to-target Â_P) still carry a
 train node's own label into its label messages.
 
+One suffix walk (`_messages`) builds every message, depth first, and
+hands each out as soon as it is built.  Besides the graph and its
+normalized relations, a build holds the suffixes of the one chain it is
+extending, at most one per length, and the message it hands out.
+`build_cache` collects them into a `MessageCache`, which then holds every
+message; `ahgnn precompute` streams them (`build_cache(stream=True)`)
+into `write_cache`, which writes each in its place in the file and drops
+it, so precompute holds one chain of suffixes and one message, not the
+cache.
+
 Cache and checkpoint files share one container (`write_arrays`,
 `read_arrays`), little-endian: 4-byte magic, u32 version, u32 meta
 length, the meta as sort_keys JSON, then each array as one .npy record
@@ -24,24 +34,29 @@ has meta {fingerprint (`HeteroGraph.fingerprint`: manifest and arrays),
 l1, l2, features, labels}, the last two its path keys in sorted order,
 then one (N, cols) float64 array per feature key and then per label key.
 Every message has one row per target node, and every label message one
-column per class.  `read_cache(path, rows=...)` keeps only the given
-target rows: it cuts each stored array to them as soon as it is read and
-checked, so a read holds at most one full stored array besides its
-result, and a reader that scores a split needs memory for that split,
-not for the graph.
+column per class, so every record's offset is known before any message
+is built.  A file is written under a temporary name and renamed into
+place once complete, so a failed write leaves the old file as it was.
+`read_cache(path, rows=...)` keeps only the given target rows: it cuts
+each stored array to them as soon as it is read and checked, so a read
+holds at most one full stored array besides its result, and a reader
+that scores a split needs memory for that split, not for the graph.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .graph import HeteroGraph, read_exact, read_npy, write_npy
+from .graph import HeteroGraph, npy_size, read_exact, read_npy, write_npy
 from .metapath import MetaPath, PathProducts, enumerate_metapaths
 from .sparse import spmm
 
@@ -71,13 +86,45 @@ CACHE_FILE = ArrayFile(CACHE_MAGIC, CACHE_VERSION, "cache", "ahgnn precompute",
                        ("features", "labels"))
 
 
-def write_arrays(path, spec: ArrayFile, meta: dict, arrays) -> None:
-    """Write `meta`, then `arrays` as `spec.dtype`, in the shared container."""
+def write_arrays(path, spec: ArrayFile, meta: dict, shapes, arrays) -> None:
+    """Write `meta`, then one `spec.dtype` array of each of `shapes`, in
+    the shared container, atomically.
+
+    `arrays` yields (index into `shapes`, array) pairs in any order.  A
+    record's size depends on its shape alone, so every record's offset
+    is known before the first array arrives, and each array is written
+    in its place as it arrives: a caller need hold only the array it
+    hands over.  The file is written under a temporary name beside
+    `path` and renamed onto it once every array is in place; on any
+    error the temporary file is removed and `path` is left as it was.
+    """
+    path = Path(path)
     head = json.dumps(meta, sort_keys=True).encode()
-    with open(Path(path), "wb") as f:
-        f.write(spec.magic + struct.pack("<II", spec.version, len(head)) + head)
-        for a in arrays:
-            write_npy(f, a, spec.dtype)
+    shapes = [tuple(s) for s in shapes]
+    size = {s: npy_size(s, spec.dtype) for s in set(shapes)}
+    offsets = list(accumulate((size[s] for s in shapes),
+                              initial=12 + len(head)))
+    missing = set(range(len(shapes)))
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(spec.magic + struct.pack("<II", spec.version, len(head))
+                    + head)
+            for i, a in arrays:
+                if i not in missing or np.shape(a) != shapes[i]:
+                    raise ValueError(f"array {i} of shape {np.shape(a)} does "
+                                     f"not fill an open record of {path.name}")
+                missing.remove(i)
+                f.seek(offsets[i])
+                write_npy(f, a, spec.dtype)
+                del a  # before the next array is built
+            if missing:
+                raise ValueError(f"{path.name}: no array given for records "
+                                 f"{sorted(missing)}")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_arrays(path, spec: ArrayFile,
@@ -200,14 +247,49 @@ def train_label_matrix(graph: HeteroGraph) -> np.ndarray:
 
 
 def _messages(steps: PathProducts, paths: list[MetaPath],
-              operands: dict) -> dict[str, np.ndarray]:
-    """Â_P @ operands[P's last type] per path, shortest suffixes first."""
-    memo = {(t,): x for t, x in operands.items()}
-    for n in range(2, max((len(p.types) for p in paths), default=0) + 1):
-        for s in sorted({p.types[-n:] for p in paths if len(p.types) >= n}):
-            memo[s] = spmm(steps.matrix(s[:2]), memo[s[1:]])
-    return {p.key: memo[p.types] if p.steps else memo[p.types].copy()
-            for p in paths}
+              operands: dict) -> Iterator[tuple[str, np.ndarray]]:
+    """(P's key, Â_P @ operands[P's last type]) per path, as each is built.
+
+    The paths' suffixes form a tree under their last types, each suffix
+    the parent of the suffixes one step longer, M(t, *s) = Â_{t s0} M(s).
+    The tree is walked depth first, so a suffix's message is dropped once
+    the last suffix under it has been built: at most one suffix per
+    length is held.  A zero-step path hands out a copy of its operand.
+    """
+    keys = {p.types: p.key for p in paths}
+    kids: dict[tuple[str, ...], set] = {}
+    for p in paths:
+        for n in range(2, len(p.types) + 1):
+            kids.setdefault(p.types[1 - n:], set()).add(p.types[-n:])
+
+    def walk(s: tuple[str, ...], m: np.ndarray):
+        if s in keys:
+            yield keys[s], m if len(s) > 1 else m.copy()
+        for k in sorted(kids.get(s, ())):
+            yield from walk(k, spmm(steps.matrix(k[:2]), m))
+
+    for t in sorted({p.types[-1] for p in paths}):
+        yield from walk((t,), operands[t])
+
+
+def _feature_paths(graph: HeteroGraph, l1: int) -> list[MetaPath]:
+    if l1 < 1:
+        raise ValueError("l1 must be >= 1")
+    return enumerate_metapaths(graph.schema(), graph.target_type, l1)
+
+
+def _label_paths(graph: HeteroGraph, l2: int) -> list[MetaPath]:
+    if l2 < 1:
+        raise ValueError("l2 must be >= 1")
+    if not np.any(graph.train_mask & (graph.labels >= 0)):
+        raise ValueError("label propagation needs a nonempty labeled train split")
+    return enumerate_metapaths(graph.schema(), graph.target_type, l2,
+                               end=graph.target_type, include_trivial=False)
+
+
+def _in_order(paths: list[MetaPath], messages) -> dict[str, np.ndarray]:
+    got = dict(messages)
+    return {p.key: got[p.key] for p in paths}
 
 
 def propagate_features(graph: HeteroGraph, l1: int,
@@ -216,46 +298,86 @@ def propagate_features(graph: HeteroGraph, l1: int,
 
     `steps` holds the normalized relations (default: a fresh one).
     """
-    if l1 < 1:
-        raise ValueError("l1 must be >= 1")
-    paths = enumerate_metapaths(graph.schema(), graph.target_type, l1)
-    return _messages(steps or PathProducts(graph, normalized=True), paths,
-                     graph.features)
+    paths = _feature_paths(graph, l1)
+    return _in_order(paths, _messages(
+        steps or PathProducts(graph, normalized=True), paths, graph.features))
 
 
 def propagate_labels(graph: HeteroGraph, l2: int,
                      steps: PathProducts | None = None) -> dict[str, np.ndarray]:
     """Propagated one-hot train labels of every target-returning path."""
-    if l2 < 1:
-        raise ValueError("l2 must be >= 1")
-    if not np.any(graph.train_mask & (graph.labels >= 0)):
-        raise ValueError("label propagation needs a nonempty labeled train split")
-    target = graph.target_type
-    paths = enumerate_metapaths(graph.schema(), target, l2, end=target,
-                                include_trivial=False)
-    return _messages(steps or PathProducts(graph, normalized=True), paths,
-                     {target: train_label_matrix(graph)})
+    paths = _label_paths(graph, l2)
+    return _in_order(paths, _messages(
+        steps or PathProducts(graph, normalized=True), paths,
+        {graph.target_type: train_label_matrix(graph)}))
 
 
-def build_cache(graph: HeteroGraph, l1: int, l2: int,
-                threads: int = 1) -> MessageCache:
-    """Build every message serially; `threads` is accepted and ignored."""
+class CacheBuild(NamedTuple):
+    """A cache file's meta and record shapes, fixed before any message is
+    built, and its messages as they are built (`build_cache(stream=True)`)."""
+
+    meta: dict                      # fingerprint, l1, l2, features, labels
+    shapes: list[tuple[int, int]]   # of each record, in file order
+    messages: Iterator[tuple[int, np.ndarray]]  # (record index, message)
+
+
+def build_cache(graph: HeteroGraph, l1: int, l2: int, threads: int = 1, *,
+                stream: bool = False) -> MessageCache | CacheBuild:
+    """Every feature and label message, built serially (`threads` is
+    accepted and ignored), in a `MessageCache`.
+
+    With `stream`, nothing is built yet: the result is a `CacheBuild`
+    whose messages are built, one suffix walk per operand (`_messages`),
+    as `write_cache` consumes them, so the caller holds at most one
+    suffix per length and the message being written.  Both ways build
+    the same messages in the same order; bad arguments and an unlabeled
+    train split raise here, before any is built.
+    """
+    fpaths, lpaths = _feature_paths(graph, l1), _label_paths(graph, l2)
+    feats = sorted(p.key for p in fpaths)
+    labs = sorted(p.key for p in lpaths)
+    n, target = graph.n_target, graph.target_type
+    shapes = [*((n, graph.features[k.split("-")[-1]].shape[1]) for k in feats),
+              *((n, graph.num_classes) for _ in labs)]
     steps = PathProducts(graph, normalized=True)  # normalizes each relation once
-    return MessageCache(
-        l1=l1, l2=l2, fingerprint=graph.fingerprint,
-        feature_messages=propagate_features(graph, l1, steps),
-        label_messages=propagate_labels(graph, l2, steps),
-    )
+    feature_at = {k: i for i, k in enumerate(feats)}
+    label_at = {k: len(feats) + i for i, k in enumerate(labs)}
 
+    def messages():
+        # map, unlike a loop variable, keeps no message while the next is built
+        yield from map(lambda km: (feature_at[km[0]], km[1]),
+                       _messages(steps, fpaths, graph.features))
+        yield from map(lambda km: (label_at[km[0]], km[1]),
+                       _messages(steps, lpaths,
+                                 {target: train_label_matrix(graph)}))
 
-def write_cache(cache: MessageCache, path) -> None:
-    """Serialize messages to the cache file (deterministic bytes)."""
-    feats, labs = sorted(cache.feature_messages), sorted(cache.label_messages)
-    meta = {"fingerprint": cache.fingerprint, "l1": cache.l1, "l2": cache.l2,
+    meta = {"fingerprint": graph.fingerprint, "l1": l1, "l2": l2,
             "features": feats, "labels": labs}
-    write_arrays(path, CACHE_FILE, meta,
-                 [*(cache.feature_messages[k] for k in feats),
-                  *(cache.label_messages[k] for k in labs)])
+    if stream:
+        return CacheBuild(meta, shapes, messages())
+    got = dict(messages())
+    return MessageCache(
+        l1=l1, l2=l2, fingerprint=meta["fingerprint"],
+        feature_messages={k: got[i] for i, k in enumerate(feats)},
+        label_messages={k: got[len(feats) + i] for i, k in enumerate(labs)})
+
+
+def write_cache(cache: MessageCache | CacheBuild, path) -> None:
+    """Write a cache file (deterministic bytes), atomically (`write_arrays`).
+
+    `cache` is a `MessageCache`, whose messages are written in file
+    order, or a `build_cache(..., stream=True)` build, each of whose
+    messages is written in its place as soon as it is built and then
+    dropped: the bytes are the same either way.
+    """
+    if isinstance(cache, MessageCache):
+        feats, labs = sorted(cache.feature_messages), sorted(cache.label_messages)
+        arrays = [*(cache.feature_messages[k] for k in feats),
+                  *(cache.label_messages[k] for k in labs)]
+        cache = CacheBuild({"fingerprint": cache.fingerprint, "l1": cache.l1,
+                            "l2": cache.l2, "features": feats, "labels": labs},
+                           [np.shape(a) for a in arrays], enumerate(arrays))
+    write_arrays(path, CACHE_FILE, *cache)
 
 
 def read_cache(path, expect_fingerprint: int | None = None,

@@ -280,19 +280,22 @@ def evaluate_split(cache: MessageCache, params: ModelParams,
     """`evaluate` on forwards over the masked, labeled rows alone.
 
     Equals `evaluate` on an all-rows forward, because the model is
-    row-independent.  Only the rows it scores are cast and forwarded,
-    through `predict_logits` in chunks of at most `_SCORE_ELEMENTS`
-    token-tensor elements, so the memory a split takes is bounded
-    whatever its size.  This scores `ahgnn eval` and `train`'s closing
-    test split.
+    row-independent.  Only the rows it scores are forwarded, through
+    `predict_logits` in chunks of at most `_SCORE_ELEMENTS` token-tensor
+    elements, each cast to `dtype` on its own, so the memory a split
+    takes is bounded whatever its size.  A cache that holds exactly the
+    scored rows, in order, is not copied; from any other those rows are
+    copied once.  This scores `ahgnn eval` and `train`'s closing test
+    split.
     """
     rows = labeled_rows(mask, labels)
     width = len(token_layout(cache)) * params.tensors["cls.w"].shape[0]
     chunk = max(1, _SCORE_ELEMENTS // width)
     if chunk > _SCORE_ROW_BLOCK:
         chunk -= chunk % _SCORE_ROW_BLOCK
-    logits = predict_logits(cache.take_rows(rows).astype(dtype), params,
-                            batch_size=chunk)
+    if not np.array_equal(rows, np.arange(cache.n_target)):
+        cache = cache.take_rows(rows)
+    logits = predict_logits(cache, params, batch_size=chunk, dtype=dtype)
     return evaluate(logits, np.asarray(labels)[rows],
                     np.ones(rows.size, dtype=bool))
 

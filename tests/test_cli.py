@@ -83,6 +83,38 @@ def test_precompute_honors_cache_dir_env(toy_dir, tmp_path, capsys,
     assert default_cache_path(toy_dir) == cache_home / "toy.ahgc"
 
 
+def test_precompute_that_fails_keeps_the_old_cache(toy_dir, tmp_path, capsys,
+                                                   monkeypatch):
+    import importlib
+    propagate = importlib.import_module("ahgnn.propagate")
+    out = tmp_path / "caches" / "c.ahgc"
+    run_ok(["precompute", "--data", str(toy_dir), "--out", str(out)], capsys)
+    good = out.read_bytes()
+    # a dataset whose train split holds no labeled node
+    g = load_dataset(toy_dir)
+    g.labels[g.train_mask] = -1
+    save_dataset(g, tmp_path / "unlabeled")
+    assert dispatch(["precompute", "--data", str(tmp_path / "unlabeled"),
+                     "--out", str(out)]) == 1
+    assert "nonempty labeled train split" in capsys.readouterr().err
+    # a build that breaks after some messages are written
+    real, calls = propagate.spmm, []
+
+    def breaks(a, x):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("boom")
+        return real(a, x)
+
+    monkeypatch.setattr(propagate, "spmm", breaks)
+    assert dispatch(["precompute", "--data", str(toy_dir), "--out",
+                     str(out)]) == 2
+    assert "boom" in capsys.readouterr().err
+    assert out.read_bytes() == good
+    assert sorted(p.name for p in out.parent.iterdir()) == \
+        ["c.ahgc", "run.json"]
+
+
 def test_train_eval_round_trip(toy_dir, tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("AHGNN_CACHE_DIR", raising=False)
     out = tmp_path / "run1"

@@ -616,3 +616,86 @@ def test_read_cache_rows_holds_one_full_array_at_a_time(tmp_path):
     held = sum(m.nbytes for d in (cache.feature_messages, cache.label_messages)
                for m in d.values())
     assert peak - held <= n * cols * 8 + (64 << 10), peak - held
+
+
+# ------------------------------------------------ streaming the cache out
+
+def streamed_and_stored(g, l1, l2, tmp_path) -> tuple[bytes, bytes]:
+    """Cache bytes written as the messages are built, and from memory."""
+    write_cache(build_cache(g, l1, l2, stream=True), tmp_path / "s.ahgc")
+    write_cache(build_cache(g, l1, l2), tmp_path / "m.ahgc")
+    return (tmp_path / "s.ahgc").read_bytes(), (tmp_path / "m.ahgc").read_bytes()
+
+
+def test_streamed_cache_equals_the_in_memory_write_on_random_graphs(tmp_path):
+    # self relations, aux-to-aux relations and -1 labels; a graph with no
+    # labeled train node fails both ways before anything is built
+    for seed in range(20):
+        g = random_typed_graph(seed)
+        for l1 in (1, 2, 3):
+            for l2 in (1, 2, 3):
+                want = outcome(build_cache, g, l1, l2)
+                if isinstance(want, tuple):
+                    assert outcome(lambda: build_cache(g, l1, l2,
+                                                       stream=True)) == want
+                    continue
+                streamed, stored = streamed_and_stored(g, l1, l2, tmp_path)
+                assert streamed == stored, (seed, l1, l2)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ahgc", "s.ahgc"]
+
+
+@pytest.mark.parametrize("fixture", ["gate", "three_types"])
+def test_streamed_cache_equals_the_in_memory_write(fixture, tmp_path):
+    spec, l1, l2 = {**READ_FIXTURES, "three_types": (dict(
+        n_target=60, n_aux=20, num_types=3, num_classes=3, feature_dim=5,
+        homophily=0.6, tolerance=0.1, seed=0), 3, 2)}[fixture]
+    streamed, stored = streamed_and_stored(generate_toy(ToySpec(**spec)),
+                                           l1, l2, tmp_path)
+    assert streamed == stored
+
+
+def test_precompute_holds_a_few_messages_at_a_time(tmp_path):
+    # nine feature paths of 400 x 128 float64 (400 KiB each); keeping
+    # every message until the write, as an in-memory build does, peaks
+    # at nine of them
+    from ahgnn.cli import dispatch
+    from ahgnn.graph import save_dataset
+    g = generate_toy(ToySpec(n_target=400, n_aux=100, num_types=3,
+                             num_classes=3, feature_dim=128, edges_per_node=2,
+                             homophily=0.6, tolerance=0.2, seed=0))
+    assert len(enumerate_metapaths(g.schema(), g.target_type, 3)) >= 9
+    save_dataset(g, tmp_path / "data")
+    message = g.n_target * 128 * 8
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        g = load_dataset(tmp_path / "data")
+        dataset = tracemalloc.get_traced_memory()[0] - start
+        del g
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert dispatch(["precompute", "--data", str(tmp_path / "data"),
+                         "--out", str(tmp_path / "c.ahgc"), "--l1", "3",
+                         "--l2", "2"]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak - dataset <= 3 * message + (64 << 10), \
+        (peak - dataset) / message
+
+
+def test_a_write_that_fails_leaves_the_old_file_and_no_other(tmp_path):
+    g = load_dataset(TOY)
+    path = tmp_path / "c.ahgc"
+    write_cache(build_cache(g, 2, 2), path)
+    before = path.read_bytes()
+    full = build_cache(g, 2, 2, stream=True)
+    short = full._replace(messages=iter(list(full.messages)[1:]))
+    with pytest.raises(ValueError, match=r"no array given for records \[\d+\]"):
+        write_cache(short, path)
+    bad = build_cache(g, 2, 2, stream=True)
+    bad = bad._replace(messages=((i, m[:-1]) for i, m in bad.messages))
+    with pytest.raises(ValueError, match="does not fill an open record"):
+        write_cache(bad, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["c.ahgc"]

@@ -602,16 +602,43 @@ def test_evaluate_split_equals_all_rows_evaluate(monkeypatch):
     for mask in (g.val_mask, g.test_mask):
         assert evaluate_split(cache, params, g.labels, mask, np.float32) == \
             evaluate(logits, g.labels, mask)
-    # an empty split fails before any forward runs
-    train_module = importlib.import_module("ahgnn.train")
-
+    # an empty split fails before any forward runs, whichever module's
+    # binding of the forward it would go through
     def no_forward(*args):
         raise AssertionError("forward on an empty split")
 
-    monkeypatch.setattr(train_module, "model_forward", no_forward)
+    for module in ("ahgnn.train", "ahgnn.model"):
+        monkeypatch.setattr(importlib.import_module(module), "model_forward",
+                            no_forward)
     with pytest.raises(ValueError, match="selects no labeled node"):
         evaluate_split(cache, params, g.labels,
                        np.zeros(g.n_target, dtype=bool), np.float32)
+
+
+def test_evaluate_split_copies_no_rows_of_a_cache_of_the_scored_rows(
+        monkeypatch):
+    from ahgnn.model import init_model_params, predict_logits
+    from ahgnn.propagate import MessageCache
+    from ahgnn.train import evaluate_split, labeled_rows
+    g = generate_toy(ToySpec(n_target=40, n_aux=12, num_classes=3,
+                             homophily=0.6, feature_dim=4, seed=3))
+    cache = build_cache(g, 2, 2)
+    params = init_model_params(cache, 8, 2, 0.25, np.random.default_rng(0))
+    # casting each chunk gives the logits of casting the whole cache
+    whole = predict_logits(cache.astype(np.float32), params, batch_size=7)
+    assert whole.tobytes() == predict_logits(cache, params, batch_size=7,
+                                             dtype=np.float32).tobytes()
+    rows = labeled_rows(g.test_mask, g.labels)
+    scored = cache.take_rows(rows)
+    taken, real = [], MessageCache.take_rows
+    monkeypatch.setattr(MessageCache, "take_rows", lambda self, idx: (
+        taken.append(idx), real(self, idx))[1])
+    assert evaluate_split(scored, params, g.labels[rows],
+                          np.ones(rows.size, dtype=bool), np.float32) == \
+        evaluate_split(cache, params, g.labels, g.test_mask, np.float32)
+    # the split of the cache of its own rows forwards it whole; the split
+    # of the full cache copies its rows once
+    assert len(taken) == 1 and np.array_equal(taken[0], rows)
 
 
 GATE_SPEC = dict(n_target=300, n_aux=75, num_classes=4, feature_dim=8,
