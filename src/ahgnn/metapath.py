@@ -14,8 +14,8 @@ product longer than two steps is formed and memory is bounded by the
 block width.  Each distinct two-step suffix is one sparse product of two
 relations; each longer suffix's block is one relation SpMM on a dense
 block.  On the 1600-node scaling fixture (3 types, depth 4: six paths,
-four of them 53-57 % dense) one report takes 55-65 ms and `ahgnn analyze`
-peaks at 59 MB.  At 6,400 target nodes a depth-4 graph_homophily takes
+four of them 53-57 % dense) one report takes 40-46 ms and `ahgnn analyze`
+peaks at 58 MiB.  At 6,400 target nodes a depth-4 graph_homophily takes
 1.0-1.2 s and the process 96 MB (Xeon, 1 BLAS thread).
 """
 
@@ -322,10 +322,10 @@ class IncrementalHomophily:
     itself, a longer one's the previous prefix's times the last relation.
     Multiplicities are integers >= 1 (`HeteroGraph.validate`), so the
     float64 counts are exact while they stay below 2^53.  `counts`, each
-    path's same-label and all qualifying nonzeros, taken from its support
-    by the rule graph_homophily applies (`_qualifying`).  With 1600
-    target nodes, 400 nodes per auxiliary type, 3 types and depth 4 that
-    is twelve prefixes, 147 MiB, built in 0.2-0.3 s (Xeon, 1 BLAS thread).
+    path's same-label and all qualifying nonzeros, summed from the rows
+    graph_homophily counts (`_path_counts`).  With 1600 target nodes,
+    400 per auxiliary type, 3 types and depth 4 that is twelve prefixes:
+    147 MiB, built in 0.2-0.3 s with a 166 MiB peak (Xeon, 1 BLAS thread).
 
     Moving one endpoint of a (target, b) edge changes R_tb by a rank-1
     term x y^T with two nonzeros, and R_bt by its transpose.  A prefix's
@@ -360,13 +360,8 @@ class IncrementalHomophily:
                     self.walks[prefix] = self.steps[pair] if k == 2 else \
                         np.ascontiguousarray(self.walks[prefix[:-1]]
                                              @ graph.relation(*pair).to_scipy())
-        indicator = _label_indicator(self.labels)
-        self.counts = []   # per path: (same-label, all) qualifying nonzeros
-        for path in self.paths:
-            support = (self.walks[path] != 0).astype(np.float64)
-            same, total = _qualifying(support @ indicator, support.diagonal(),
-                                      self.labels)
-            self.counts.append((int(same.sum()), int(total.sum())))
+        self.counts = [(int(same.sum()), int(total.sum()))
+                       for _, same, total in _path_counts(graph, max_len)]
         self._pending = None
 
     def propose(self, b: str, old: tuple[int, int],

@@ -386,16 +386,19 @@ def read_cache(path, expect_fingerprint: int | None = None,
                rows=None) -> MessageCache:
     """Read a cache file, optionally enforcing freshness expectations.
 
-    Given `rows`, target-node indices, the result holds those rows of
-    each message, in their order, and equals `read_cache(path)
-    .take_rows(rows)`.  Each stored array is read whole, checked as
-    without `rows`, cut to its rows and dropped before the next is read,
-    so beyond the result at most one full stored array is held.  A row
-    outside the stored ones raises `CacheError` naming the file.
+    Given `rows`, integer target-node indices (else ValueError), the
+    result holds those rows of each message, in their order, and equals
+    `read_cache(path).take_rows(rows)`.  Each stored array is read whole,
+    checked as without `rows`, cut to its rows and dropped before the next
+    is read, so beyond the result at most one full stored array is held.
+    A row outside the stored ones raises `CacheError` naming the file.
     """
     path = Path(path)
     if rows is not None:
-        rows = np.asarray(rows)
+        rows = np.asarray(rows, dtype=None if np.size(rows) else np.intp)
+        if rows.ndim != 1 or not np.issubdtype(rows.dtype, np.integer):
+            raise ValueError("rows must be a 1-D array of integer target-node "
+                             f"indices, not {rows.dtype} of shape {rows.shape}")
         lo, hi = (rows.min(), rows.max()) if rows.size else (0, -1)
     shapes = []
 

@@ -18,14 +18,15 @@ each proposal instead of rebuilding the graph and its walk products; the
 evaluator's step matrices are the only record of the edge multiplicities
 (the relation weights, integers >= 1 by `HeteroGraph.validate`), beside
 one list per relation of its distinct edges to draw from.  The evaluator
-holds one dense float64 n_target x n_type walk-count matrix per meta-path
-prefix, each the previous prefix's times a step relation, and no table
-over target pairs (147 MiB at 1600 target nodes with 3 types, depth 4,
-built in 0.2-0.3 s on a Xeon with 1 BLAS thread), and a proposal costs
-a few vector-matrix products plus one sort per path over the area of
-the rows and columns it touches; a draw costs O(1) apart from removing
-an edge that loses its last copy from its list.  The rewired relations
-become sparse once, at the end of a run.
+holds one dense float64 n_target x n_type walk-count matrix per
+meta-path prefix, each the previous prefix's times a step relation, and
+no table over target pairs; it takes its start counts from
+graph_homophily's `_path_counts` (147 MiB at 1600 target nodes, 3 types,
+depth 4: built in 0.2-0.3 s, peak 166 MiB, Xeon, 1 BLAS thread).  A
+proposal costs a few vector-matrix products plus one sort per path over
+the area of the rows and columns it touches; a draw costs O(1) apart
+from removing an edge that loses its last copy from its list.  The
+rewired relations become sparse once, at the end of a run.
 """
 
 from __future__ import annotations

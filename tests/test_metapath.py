@@ -1,6 +1,7 @@
 import re
 import subprocess
 import sys
+import tracemalloc
 from functools import reduce
 from pathlib import Path
 from types import SimpleNamespace
@@ -12,7 +13,8 @@ import scipy.sparse as sp
 import ahgnn.metapath
 from ahgnn.graph import HeteroGraph, load_dataset
 from ahgnn.metapath import (IncrementalHomophily, MetaPath, PathProducts,
-                            _path_counts, build_homophily_report, enumerate_metapaths,
+                            _target_paths, build_homophily_report,
+                            enumerate_metapaths,
                             global_homophily, graph_homophily,
                             homophily_histogram, induced_adjacency,
                             local_homophily, write_homophily_csv)
@@ -596,20 +598,39 @@ def test_rewired_walks_stay_the_product_of_the_current_steps(monkeypatch):
     assert accepted > 0
 
 
-def test_start_counts_are_the_path_sums_of_the_blocked_counts():
+def test_start_counts_match_the_dense_recount():
     for g in (random_typed_graph(s) for s in range(60)):
         t = g.target_type
         movable = sorted(b for a, b in g.relations if a == t and b != t)
         for depth in (2, 3, 4, 5):
             try:
-                want = [(p.types, int(same.sum()), int(total.sum()))
-                        for p, same, total in _path_counts(g, depth)]
+                paths = [p.types for p in _target_paths(g, depth)]
             except ValueError as e:
                 with pytest.raises(ValueError, match=re.escape(str(e))):
                     IncrementalHomophily(g, depth, movable)
                 continue
             ev = IncrementalHomophily(g, depth, movable)
-            assert [(p, *c) for p, c in zip(ev.paths, ev.counts)] == want
+            assert ev.paths == paths
+            assert ev.counts == [dense_path_counts(g, p) for p in paths]
+
+
+def test_evaluator_build_holds_little_beyond_its_walk_matrices():
+    # a dense 0/1 support per path for the start counts would add about
+    # one more walk matrix on top of the ones the evaluator keeps
+    g = generate_toy(ToySpec(n_target=300, n_aux=75, num_types=3,
+                             num_classes=3, homophily=0.7, seed=0,
+                             tolerance=0.05))
+    t = g.target_type
+    movable = sorted(b for a, b in g.relations if a == t and b != t)
+    IncrementalHomophily(g, 4, movable)   # first-call allocations untraced
+    tracemalloc.start()
+    try:
+        ev = IncrementalHomophily(g, 4, movable)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    largest = max(w.nbytes for w in ev.walks.values())
+    assert peak - held <= 1.25 * largest, (peak - held) / largest
 
 
 def test_analysis_demo_runs():

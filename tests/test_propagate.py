@@ -538,14 +538,15 @@ def written_cache(request, tmp_path_factory):
     return path, cache.n_target
 
 
-@pytest.mark.parametrize("pick", ["sorted", "unsorted", "single"])
+@pytest.mark.parametrize("pick", ["sorted", "unsorted", "single", "empty"])
 def test_read_cache_rows_equals_take_rows_of_the_full_read(written_cache,
                                                            pick):
     path, n = written_cache
     rng = np.random.default_rng(1)
     rows = {"sorted": np.sort(rng.choice(n, n // 3, replace=False)),
             "unsorted": rng.permutation(n)[: n // 2],
-            "single": np.array([n - 1])}[pick]
+            "single": np.array([n - 1]),
+            "empty": []}[pick]
     want = read_cache(path).take_rows(rows)
     got = read_cache(path, rows=rows)
     assert (got.l1, got.l2, got.fingerprint) == \
@@ -555,6 +556,7 @@ def test_read_cache_rows_equals_take_rows_of_the_full_read(written_cache,
         assert list(ours) == list(theirs)
         for key in theirs:
             assert ours[key].dtype == theirs[key].dtype
+            assert ours[key].shape == theirs[key].shape
             assert ours[key].flags.c_contiguous
             assert ours[key].tobytes() == theirs[key].tobytes(), key
 
@@ -594,6 +596,17 @@ def test_read_cache_row_outside_the_stored_rows_names_the_file(tmp_path, bad):
     with pytest.raises(CacheError, match=rf"cache file c\.ahgc: row {bad} is "
                        rf"outside its {g.n_target} stored rows"):
         read_cache(tmp_path / "c.ahgc", rows=np.array([0, bad, 1]))
+
+
+@pytest.mark.parametrize("rows", [[0.0, 1.0], np.array([1.5]),
+                                  np.array([True, False, True]),
+                                  np.array([[0, 1]]), np.int64(0)],
+                         ids=["floats", "float-array", "mask", "2-d", "scalar"])
+def test_read_cache_rows_must_be_integer_indices(tmp_path, rows):
+    write_cache(build_cache(load_dataset(TOY), 2, 2), tmp_path / "c.ahgc")
+    with pytest.raises(ValueError, match="rows must be a 1-D array of "
+                       "integer target-node indices"):
+        read_cache(tmp_path / "c.ahgc", rows=rows)
 
 
 def test_read_cache_rows_holds_one_full_array_at_a_time(tmp_path):
